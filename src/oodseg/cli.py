@@ -97,7 +97,6 @@ DEFAULT_CONFIG: dict = {
         "w_a": 1.0,
         "w_o": 1.0,
         "max_abort_frac": 0.1,
-        "parallel": False,
         "timing": False,
     },
     "patch": {

@@ -45,16 +45,6 @@ def _log_softmax2(logits: np.ndarray) -> np.ndarray:
     return logits - m - np.log(np.sum(np.exp(logits - m), axis=0))
 
 
-def _gather(items):
-    """Stack per-image pixel sets; the loss pools them across the batch."""
-    ood_lp, id_lp = [], []
-    for logits, _, part in items:
-        lp = _log_softmax2(logits)
-        ood_lp.append(lp[:, part.ood_mask])
-        id_lp.append(lp[:, part.id_mask])
-    return np.concatenate(ood_lp, axis=1), np.concatenate(id_lp, axis=1)
-
-
 def batch_loss_tae(items) -> tuple[float, list[np.ndarray]]:
     """Cross-entropy over pooled sets: mean(-log p1) on anomalies plus
     mean(-log p0) on in-distribution pixels.  ``items`` is a list of

@@ -1,8 +1,9 @@
 """Exact threshold-free detection metrics over pixel score sets.
 
-All three metrics are computed from the full set of (score, label) pairs
-with ties handled explicitly: tied scores form a single operating point,
-AUROC uses midranks, and nothing is interpolated.  Every metric is
+All three metrics are read from one curve: the (score, label) pairs are
+sorted once and tied scores are collapsed into a single operating point,
+so nothing is interpolated.  AUROC is the Mann–Whitney U statistic
+counted over the same tie groups (a tie counts one half).  Every metric is
 invariant under strictly increasing transforms of the scores.
 """
 
@@ -38,75 +39,76 @@ def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(s)):
         raise MetricInputError("scores must be finite")
     y = y.astype(np.int64)
-    if y.sum() == 0 or y.sum() == y.size:
+    n_pos = y.sum()
+    if n_pos == 0 or n_pos == y.size:
         raise MetricInputError("need at least one positive and one negative")
     return s, y
 
 
-def _tie_groups(scores: np.ndarray, labels: np.ndarray):
-    """Sort descending and collapse tied scores into one operating point.
+def _checked_target(target: float) -> float:
+    if not 0.0 < target <= 1.0:
+        raise MetricInputError(f"target must be in (0, 1], got {target}")
+    return target
 
-    Returns cumulative true/false positive counts at the end of each group.
-    """
-    order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    y = labels[order]
-    last = np.r_[s[:-1] != s[1:], True]  # last index of each tie group
-    cum_tp = np.cumsum(y)[last].astype(np.float64)
-    cum_fp = np.cumsum(1 - y)[last].astype(np.float64)
-    return cum_tp, cum_fp
+
+class _Curve:
+    """Tie groups in descending score order, with the cumulative true and
+    false positive counts at the end of each group."""
+
+    def __init__(self, scores, labels):
+        s, y = _checked(scores, labels)
+        # Only per-group totals are read, so the order inside a tie is free.
+        order = np.argsort(s)[::-1]
+        s = s[order]
+        last = np.r_[s[:-1] != s[1:], True]
+        self.tp = np.cumsum(y[order])[last]
+        self.fp = np.flatnonzero(last) + 1 - self.tp
+        self.n_pos = int(self.tp[-1])
+        self.n_neg = int(self.fp[-1])
+        self.tpr = self.tp / float(self.n_pos)
+
+    def average_precision(self) -> float:
+        precision = self.tp / (self.tp + self.fp).astype(np.float64)
+        return float(np.sum(np.diff(np.r_[0.0, self.tpr]) * precision))
+
+    def auroc(self) -> float:
+        # 2U = sum over groups of pos_g * (2 * neg_below_g + neg_g), exact in
+        # int64.  It equals twice the old midrank rank-sum statistic, a sum of
+        # half-integers that float64 holds exactly while N**2 < 2**53, so
+        # the one rounding division below reproduces it bit for bit.
+        pos = np.diff(self.tp, prepend=0)
+        neg = np.diff(self.fp, prepend=0)
+        two_u = int(np.sum(pos * (2 * (self.n_neg - self.fp) + neg)))
+        return two_u / (2 * self.n_pos * self.n_neg)
+
+    def fpr_at_tpr(self, target: float) -> float:
+        # TPR reaches 1.0 at the loosest threshold, so a hit always exists
+        hit = int(np.argmax(self.tpr >= target))
+        return float(self.fp[hit] / float(self.n_neg))
 
 
 def auroc(scores, labels) -> float:
-    """Area under the ROC curve via the rank-sum statistic with midranks."""
-    s, y = _checked(scores, labels)
-    n = s.size
-    order = np.argsort(s, kind="mergesort")
-    ss = s[order]
-    first = np.r_[True, ss[1:] != ss[:-1]]
-    starts = np.flatnonzero(first)
-    ends = np.r_[starts[1:], n]
-    # midrank of a tie group spanning sorted slots [a, b): (a + b + 1) / 2, 1-based
-    mid = (starts + ends + 1) / 2.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(mid, ends - starts)
-    n_pos = int(y.sum())
-    n_neg = n - n_pos
-    rank_sum = float(ranks[y == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    """Area under the ROC curve: P(pos > neg) + P(pos == neg) / 2."""
+    return _Curve(scores, labels).auroc()
 
 
 def average_precision(scores, labels) -> float:
     """AP as the sum of precision-weighted recall increments, no interpolation."""
-    s, y = _checked(scores, labels)
-    n_pos = float(y.sum())
-    cum_tp, cum_fp = _tie_groups(s, y)
-    recall = cum_tp / n_pos
-    precision = cum_tp / (cum_tp + cum_fp)
-    d_recall = np.diff(np.r_[0.0, recall])
-    return float(np.sum(d_recall * precision))
+    return _Curve(scores, labels).average_precision()
 
 
 def fpr_at_tpr(scores, labels, target: float = 0.95) -> float:
     """FPR at the first grouped operating point whose TPR reaches ``target``."""
-    if not 0.0 < target <= 1.0:
-        raise MetricInputError(f"target must be in (0, 1], got {target}")
-    s, y = _checked(scores, labels)
-    n_pos = float(y.sum())
-    n_neg = float(y.size - y.sum())
-    cum_tp, cum_fp = _tie_groups(s, y)
-    tpr = cum_tp / n_pos
-    hit = np.flatnonzero(tpr >= target)
-    # TPR reaches 1.0 at the loosest threshold, so a hit always exists
-    return float(cum_fp[hit[0]] / n_neg)
+    return _Curve(scores, labels).fpr_at_tpr(_checked_target(target))
 
 
 def evaluate_scores(scores, labels, target: float = 0.95) -> EvalResult:
-    s, y = _checked(scores, labels)
+    target = _checked_target(target)
+    curve = _Curve(scores, labels)
     return EvalResult(
-        ap=average_precision(s, y),
-        auroc=auroc(s, y),
-        fpr95=fpr_at_tpr(s, y, target),
-        n_pos=int(y.sum()),
-        n_neg=int(y.size - y.sum()),
+        ap=curve.average_precision(),
+        auroc=curve.auroc(),
+        fpr95=curve.fpr_at_tpr(target),
+        n_pos=curve.n_pos,
+        n_neg=curve.n_neg,
     )

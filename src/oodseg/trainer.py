@@ -6,14 +6,12 @@ afterwards), refines the pasted regions into anomaly/ignored sets, and
 takes one Adam step on the pooled loss.  Everything upstream of the head
 is frozen; a digest over the frozen model guards against accidental
 updates.  All randomness flows from per-(iteration, slot) streams derived
-from the master seed, so runs are reproducible and the optional parallel
-scene preparation cannot change the result.
+from the master seed, so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,7 +52,6 @@ class TrainConfig:
     w_a: float = 1.0
     w_o: float = 1.0
     max_abort_frac: float = 0.1
-    parallel: bool = False
     patch: PatchConfig = field(default_factory=PatchConfig)
 
     def __post_init__(self):
@@ -184,59 +181,47 @@ def train(
     head = head_init(head_cfg, seed=cfg.seed)
     adam = AdamState(head)
     log = TrainLog()
-    pool = ThreadPoolExecutor(max_workers=cfg.batch_size) if cfg.parallel else None
-    try:
-        for it in range(cfg.iterations):
-            tic = time.perf_counter()
-            try:
-                if pool is not None:
-                    futures = [
-                        pool.submit(_prepare_example, train_images, frozen, head, cfg, it, s)
-                        for s in range(cfg.batch_size)
-                    ]
-                    prepared = [f.result() for f in futures]
+    for it in range(cfg.iterations):
+        tic = time.perf_counter()
+        try:
+            prepared = [
+                _prepare_example(train_images, frozen, head, cfg, it, s)
+                for s in range(cfg.batch_size)
+            ]
+            items = []
+            caches = []
+            for feats, jem, part in prepared:
+                logits, cache = head_forward(head, feats, mode="train")
+                items.append((logits.astype(np.float64), jem, part))
+                caches.append(cache)
+            _, l_a, l_o, grads = batch_total_loss(items, cfg.gamma, cfg.w_a, cfg.w_o, cfg.margin)
+            total_grads: dict[str, np.ndarray] | None = None
+            for cache, g_logits in zip(caches, grads):
+                g = head_backward(head, cache, g_logits)
+                if total_grads is None:
+                    total_grads = g
                 else:
-                    prepared = [
-                        _prepare_example(train_images, frozen, head, cfg, it, s)
-                        for s in range(cfg.batch_size)
-                    ]
-                items = []
-                caches = []
-                for feats, jem, part in prepared:
-                    logits, cache = head_forward(head, feats, mode="train")
-                    items.append((logits.astype(np.float64), jem, part))
-                    caches.append(cache)
-                _, l_a, l_o, grads = batch_total_loss(items, cfg.gamma, cfg.w_a, cfg.w_o, cfg.margin)
-                total_grads: dict[str, np.ndarray] | None = None
-                for cache, g_logits in zip(caches, grads):
-                    g = head_backward(head, cache, g_logits)
-                    if total_grads is None:
-                        total_grads = g
-                    else:
-                        for name in total_grads:
-                            total_grads[name] += g[name]
-                adam.step(head, total_grads, cfg)
-            except (EmptyPastedRegionError, DegeneratePartitionError):
-                log.aborted += 1
-                continue
-            ms = (time.perf_counter() - tic) * 1000.0
-            parts = [part for _, _, part in prepared]
-            log.records.append(
-                LogRecord(
-                    iteration=it,
-                    l_a=float(l_a),
-                    l_o=float(l_o),
-                    n_ood=sum(int(p.ood_mask.sum()) for p in parts),
-                    n_ignored=sum(int(p.ignored_mask.sum()) for p in parts),
-                    eta=float(np.mean([p.eta for p in parts])),
-                    ms=ms,
-                )
+                    for name in total_grads:
+                        total_grads[name] += g[name]
+            adam.step(head, total_grads, cfg)
+        except (EmptyPastedRegionError, DegeneratePartitionError):
+            log.aborted += 1
+            continue
+        ms = (time.perf_counter() - tic) * 1000.0
+        parts = [part for _, _, part in prepared]
+        log.records.append(
+            LogRecord(
+                iteration=it,
+                l_a=float(l_a),
+                l_o=float(l_o),
+                n_ood=sum(int(p.ood_mask.sum()) for p in parts),
+                n_ignored=sum(int(p.ignored_mask.sum()) for p in parts),
+                eta=float(np.mean([p.eta for p in parts])),
+                ms=ms,
             )
-            if checkpoint_dir is not None and checkpoint_every > 0 and (it + 1) % checkpoint_every == 0:
-                save_head(head, Path(checkpoint_dir) / f"iter_{it + 1:06d}")
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        )
+        if checkpoint_dir is not None and checkpoint_every > 0 and (it + 1) % checkpoint_every == 0:
+            save_head(head, Path(checkpoint_dir) / f"iter_{it + 1:06d}")
     if log.aborted > cfg.max_abort_frac * cfg.iterations:
         raise TrainingAbortedError(
             f"{log.aborted}/{cfg.iterations} iterations aborted on degenerate partitions"

@@ -70,7 +70,7 @@ class TestLoadConfig:
             {"train": 5},
             {"train": {"iterations": 1.5}},
             {"train": {"iterations": True}},
-            {"train": {"parallel": 1}},
+            {"train": {"per_region": 1}},
             {"train": {"refine_mode": 3}},
         ],
     )
@@ -98,13 +98,13 @@ class TestLoadConfig:
             [
                 "train.iterations=9",
                 "train.lr=0.5",
-                "train.parallel=true",
+                "train.per_region=true",
                 "train.refine_mode=otsu",
             ],
         )
         assert config["train"]["iterations"] == 9
         assert config["train"]["lr"] == 0.5
-        assert config["train"]["parallel"] is True
+        assert config["train"]["per_region"] is True
         assert config["train"]["refine_mode"] == "otsu"
 
     @pytest.mark.parametrize(
@@ -116,7 +116,7 @@ class TestLoadConfig:
             "nosuch.iterations=1",
             "train.iterations=abc",
             "train.lr=x",
-            "train.parallel=maybe",
+            "train.per_region=maybe",
         ],
     )
     def test_set_rejections(self, expr):

@@ -2,7 +2,9 @@
 
 The oracles deliberately use different formulations: pairwise comparison
 counting for AUROC, and explicit threshold enumeration for AP and
-FPR@TPR.  Tie-heavy inputs are the interesting case throughout.
+FPR@TPR.  Tie-heavy inputs are the interesting case throughout.  A copy of
+the earlier three-sort formulation (midrank AUROC, one stable sort per
+metric) pins the single-sort implementation bit for bit.
 """
 
 import numpy as np
@@ -52,6 +54,7 @@ def oracle_ap(scores, labels):
         prev_recall = recall
     return ap
 
+
 def oracle_fpr_at_tpr(scores, labels, target):
     y = np.asarray(labels)
     n_pos = y.sum()
@@ -60,6 +63,42 @@ def oracle_fpr_at_tpr(scores, labels, target):
         if tp / n_pos >= target:
             return fp / n_neg
     raise AssertionError("unreachable: final point has tpr 1.0")
+
+
+def _reference_tie_groups(s, y):
+    order = np.argsort(-s, kind="mergesort")
+    s = s[order]
+    y = y[order]
+    last = np.r_[s[:-1] != s[1:], True]
+    return np.cumsum(y)[last].astype(np.float64), np.cumsum(1 - y)[last].astype(np.float64)
+
+
+def reference_evaluate(scores, labels, target=0.95):
+    """The three-sort formulation that ``evaluate_scores`` replaced."""
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    y = np.asarray(labels).ravel().astype(np.int64)
+    n = s.size
+    n_pos = int(y.sum())
+    n_neg = n - n_pos
+
+    cum_tp, cum_fp = _reference_tie_groups(s, y)
+    recall = cum_tp / float(n_pos)
+    precision = cum_tp / (cum_tp + cum_fp)
+    ap = float(np.sum(np.diff(np.r_[0.0, recall]) * precision))
+
+    order = np.argsort(s, kind="mergesort")
+    ss = s[order]
+    starts = np.flatnonzero(np.r_[True, ss[1:] != ss[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    rank_sum = float(ranks[y == 1].sum())
+    auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+    cum_tp, cum_fp = _reference_tie_groups(s, y)
+    hit = np.flatnonzero(cum_tp / float(n_pos) >= target)
+    fpr = float(cum_fp[hit[0]] / float(n_neg))
+    return EvalResult(ap=ap, auroc=auc, fpr95=fpr, n_pos=n_pos, n_neg=n_neg)
 
 
 class TestFrozenValues:
@@ -164,3 +203,64 @@ class TestValidation:
             fpr_at_tpr([1.0, 2.0], [0, 1], 0.0)
         with pytest.raises(MetricInputError):
             fpr_at_tpr([1.0, 2.0], [0, 1], 1.5)
+
+
+def _both_classes(labels):
+    if labels.sum() in (0, labels.size):
+        labels[0] = 1 - labels[0]
+    return labels
+
+
+class TestMatchesThreeSortReference:
+    """``evaluate_scores`` equals the earlier formulation exactly, not approximately."""
+
+    @staticmethod
+    def check(scores, labels):
+        for target in (0.95, 0.5, 1.0):
+            assert evaluate_scores(scores, labels, target) == reference_evaluate(scores, labels, target)
+
+    def test_tie_heavy_and_continuous(self):
+        rng = np.random.default_rng(3)
+        for trial in range(60):
+            n = int(rng.integers(2, 400))
+            labels = _both_classes((rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(int))
+            self.check(rng.integers(0, 6, size=n) / 4.0, labels)
+            self.check(rng.standard_normal(n), labels)
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n = int(rng.integers(2, 300))
+            scores = rng.choice([0.0, -0.0, 1.0, -1.5], size=n)
+            self.check(scores, _both_classes(rng.integers(0, 2, size=n)))
+        self.check([0.0, -0.0, -0.0, 0.0], [1, 0, 1, 0])
+
+    def test_all_tied(self):
+        rng = np.random.default_rng(9)
+        labels = _both_classes(rng.integers(0, 2, size=257))
+        self.check(np.full(257, 3.25), labels)
+
+    def test_single_positive_and_single_negative(self):
+        rng = np.random.default_rng(13)
+        scores = rng.integers(0, 20, size=500) / 3.0
+        for lone in (0, 250, 499):
+            one_pos = np.zeros(500, dtype=int)
+            one_pos[lone] = 1
+            self.check(scores, one_pos)
+            self.check(scores, 1 - one_pos)
+
+    def test_integer_scores(self):
+        rng = np.random.default_rng(17)
+        scores = rng.integers(-50, 50, size=1000)
+        self.check(scores, _both_classes(rng.integers(0, 2, size=1000)))
+
+    def test_full_size_pixel_sets(self):
+        rng = np.random.default_rng(19)
+        n = 65536
+        labels = (rng.uniform(size=n) < 0.08).astype(np.int64)
+        self.check(rng.standard_normal(n), labels)
+        self.check(np.round(rng.standard_normal(n), 2), labels)
+
+    def test_bad_target_rejected_first(self):
+        with pytest.raises(MetricInputError):
+            evaluate_scores([1.0, 2.0], [0, 1], target=0.0)

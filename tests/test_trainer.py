@@ -114,19 +114,16 @@ class TestTrain:
         )
         assert moved
 
-    def test_deterministic_and_parallel_equivalent(self, frozen, images, tmp_path):
+    def test_deterministic(self, frozen, images, tmp_path):
         runs = {}
-        for tag, parallel in (("a", False), ("b", False), ("p", True)):
-            head, log = train(
-                images, frozen, tiny_cfg(parallel=parallel), head_config=HEAD_CFG
-            )
+        for tag in ("a", "b"):
+            head, log = train(images, frozen, tiny_cfg(), head_config=HEAD_CFG)
             path = tmp_path / f"{tag}.csv"
             write_trainlog_csv(log, path)
             runs[tag] = (head, path.read_bytes())
         assert runs["a"][1] == runs["b"][1]
-        assert runs["a"][1] == runs["p"][1]
         for name, arr in runs["a"][0].trainable():
-            np.testing.assert_array_equal(arr, dict(runs["p"][0].trainable())[name])
+            np.testing.assert_array_equal(arr, dict(runs["b"][0].trainable())[name])
 
     def test_frozen_model_untouched(self, frozen, images):
         before = frozen_digest(frozen)
