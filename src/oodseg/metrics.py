@@ -65,17 +65,17 @@ class _Curve:
         self.fp = np.flatnonzero(last) + 1 - self.tp
         self.n_pos = int(self.tp[-1])
         self.n_neg = int(self.fp[-1])
-        self.tpr = self.tp / float(self.n_pos)
+        self.tpr = self.tp / self.n_pos
 
     def average_precision(self) -> float:
-        precision = self.tp / (self.tp + self.fp).astype(np.float64)
+        precision = self.tp / (self.tp + self.fp)
         return float(np.sum(np.diff(np.r_[0.0, self.tpr]) * precision))
 
     def auroc(self) -> float:
         # 2U = sum over groups of pos_g * (2 * neg_below_g + neg_g), exact in
-        # int64.  It equals twice the old midrank rank-sum statistic, a sum of
-        # half-integers that float64 holds exactly while N**2 < 2**53, so
-        # the one rounding division below reproduces it bit for bit.
+        # int64.  The midrank rank-sum form of U is a sum of half-integers,
+        # exact in float64 while N**2 < 2**53; under that bound both forms
+        # give the same U and one correctly rounded division, bit for bit.
         pos = np.diff(self.tp, prepend=0)
         neg = np.diff(self.fp, prepend=0)
         two_u = int(np.sum(pos * (2 * (self.n_neg - self.fp) + neg)))
@@ -84,7 +84,7 @@ class _Curve:
     def fpr_at_tpr(self, target: float) -> float:
         # TPR reaches 1.0 at the loosest threshold, so a hit always exists
         hit = int(np.argmax(self.tpr >= target))
-        return float(self.fp[hit] / float(self.n_neg))
+        return float(self.fp[hit] / self.n_neg)
 
 
 def auroc(scores, labels) -> float:
