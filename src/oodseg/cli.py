@@ -5,9 +5,10 @@ dataset, ``fit-frozen`` fits and stores the frozen encoder/decoder,
 ``train`` fits the anomaly head, ``score``/``eval`` apply it, and
 ``ablate``/``sweep`` run the comparison grids.  Configuration comes from
 a JSON file validated strictly against the default schema (unknown keys
-are rejected), with ``--set section.key=value`` overrides.  Every run
-directory receives the effective config and, where a frozen model is
-involved, its digest.
+are rejected), with ``--set section.key=value`` overrides.  The schema's
+``scene``, ``head``, ``train`` and ``patch`` sections are the fields of
+the matching config dataclasses.  Every run directory receives the
+effective config and, where a frozen model is involved, its digest.
 
 Exit codes: 0 success, 2 configuration error, 3 missing or corrupt
 artifact, 4 run failure (degenerate training or evaluation), 1 unexpected
@@ -17,8 +18,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
+import dataclasses
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -33,6 +37,8 @@ from .patches import PatchConfig
 from .refine import EmptyPastedRegionError
 from .synthworld import (
     ArtifactError,
+    BadValueError,
+    FrozenModel,
     SceneSpec,
     decoder_accuracy,
     export_dataset,
@@ -58,58 +64,18 @@ class ConfigError(ValueError):
     pass
 
 
+# Config sections backed by a dataclass: their keys, defaults and types are
+# the dataclass fields.  HeadConfig.feature_dim comes from the frozen model
+# and TrainConfig.patch from the "patch" section, so neither is a key.
+SECTIONS = {"scene": SceneSpec, "head": HeadConfig, "train": TrainConfig, "patch": PatchConfig}
+
 DEFAULT_CONFIG: dict = {
-    "scene": {
-        "height": 64,
-        "width": 64,
-        "classes": 4,
-        "shapes_min": 3,
-        "shapes_max": 6,
-        "anomaly_shapes_min": 1,
-        "anomaly_shapes_max": 3,
-        "noise": 0.03,
-    },
-    "data": {"train_scenes": 48, "eval_scenes": 16, "seed": 0},
-    "frozen": {"feature_dim": 16, "fit_scenes": 100, "ridge_lambda": 0.01, "seed": 0},
-    "head": {
-        "blocks": 3,
-        "hidden": 32,
-        "kernel_size": 1,
-        "use_batchnorm": True,
-        "bn_momentum": 0.9,
-        "bn_epsilon": 1e-5,
-    },
-    "train": {
-        "iterations": 2000,
-        "batch_size": 8,
-        "warmup_iters": 200,
-        "gamma": 15.0,
-        "n_patches": 10,
-        "lam": 0.5,
-        "lr": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "adam_eps": 1e-8,
-        "seed": 0,
-        "refine_mode": "eq11",
-        "per_region": False,
-        "margin": "dynamic",
-        "w_a": 1.0,
-        "w_o": 1.0,
-        "max_abort_frac": 0.1,
-        "timing": False,
-    },
-    "patch": {
-        "harris_k": 0.04,
-        "harris_sigma": 1.0,
-        "harris_thresh_frac": 0.01,
-        "harris_nms_radius": 2,
-        "min_side": 8,
-        "crop_min_div": 16,
-        "crop_max_div": 4,
-        "policy": "convex",
-    },
+    name: {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+    for name, cls in SECTIONS.items()
 }
+DEFAULT_CONFIG["data"] = {"train_scenes": 48, "eval_scenes": 16, "seed": 0}
+DEFAULT_CONFIG["frozen"] = {"feature_dim": 16, "fit_scenes": 100, "ridge_lambda": 0.01, "seed": 0}
+DEFAULT_CONFIG["train"]["timing"] = False  # CLI only: real ms in trainlog.csv
 
 
 def _merge_strict(base: dict, override: dict, path: str = "") -> None:
@@ -138,6 +104,8 @@ def _coerce(name: str, default, value):
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name!r} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{name!r} must be finite, got {value!r}")
         return float(value)
     if isinstance(default, str):
         if not isinstance(value, str):
@@ -146,42 +114,27 @@ def _coerce(name: str, default, value):
     raise ConfigError(f"{name!r} has unsupported type")
 
 
-def _parse_set(expr: str):
+def _parse_set(expr: str) -> dict:
+    """``section.key=value`` as a one-entry override for ``_merge_strict``.
+
+    The text is read as its default's type; text that does not parse stays
+    a string, which ``_coerce`` rejects for a non-string slot.
+    """
     key, sep, raw = expr.partition("=")
     if not sep or not key:
         raise ConfigError(f"--set wants section.key=value, got {expr!r}")
     parts = key.split(".")
     if len(parts) != 2:
         raise ConfigError(f"--set key must be section.key, got {key!r}")
-    return parts[0], parts[1], raw
-
-
-def _apply_sets(config: dict, sets: list[str]) -> None:
-    for expr in sets:
-        section, key, raw = _parse_set(expr)
-        if section not in config or key not in config[section]:
-            raise ConfigError(f"unknown config key {section}.{key!r}")
-        default = config[section][key]
-        if isinstance(default, bool):
-            if raw.lower() in ("true", "1"):
-                value = True
-            elif raw.lower() in ("false", "0"):
-                value = False
-            else:
-                raise ConfigError(f"{section}.{key!r} must be true/false, got {raw!r}")
-        elif isinstance(default, int):
-            try:
-                value = int(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key!r} must be an integer, got {raw!r}") from exc
-        elif isinstance(default, float):
-            try:
-                value = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key!r} must be a number, got {raw!r}") from exc
-        else:
-            value = raw
-        config[section][key] = value
+    section, name = parts
+    default = DEFAULT_CONFIG.get(section, {}).get(name)
+    value = raw
+    if isinstance(default, bool):
+        value = {"true": True, "1": True, "false": False, "0": False}.get(raw.lower(), raw)
+    elif isinstance(default, (int, float)):
+        with contextlib.suppress(ValueError):
+            value = type(default)(raw)
+    return {section: {name: value}}
 
 
 def load_config(path: str | None, sets: list[str]) -> dict:
@@ -196,7 +149,8 @@ def load_config(path: str | None, sets: list[str]) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a JSON object")
         _merge_strict(config, loaded)
-    _apply_sets(config, sets or [])
+    for expr in sets or []:
+        _merge_strict(config, _parse_set(expr))
     return config
 
 
@@ -205,67 +159,55 @@ def _echo_config(config: dict, out_dir: Path) -> None:
     (out_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
 
 
-def _scene_spec(config: dict) -> SceneSpec:
+def _section(config: dict, name: str, **extra):
+    """The dataclass of section ``name``; invalid values are config errors."""
+    cls = SECTIONS[name]
+    fields = {f.name for f in dataclasses.fields(cls)}
     try:
-        return SceneSpec(**config["scene"])
+        return cls(**{k: v for k, v in config[name].items() if k in fields}, **extra)
     except ValueError as exc:
-        raise ConfigError(f"scene config invalid: {exc}") from exc
+        raise ConfigError(f"{name} config invalid: {exc}") from exc
 
 
-def _patch_config(config: dict) -> PatchConfig:
-    try:
-        return PatchConfig(**config["patch"])
-    except ValueError as exc:
-        raise ConfigError(f"patch config invalid: {exc}") from exc
+def _gen_data(config: dict, out: Path) -> None:
+    data = config["data"]
+    export_dataset(
+        _section(config, "scene"),
+        n_train=data["train_scenes"],
+        n_eval=data["eval_scenes"],
+        out_dir=out,
+        seed=data["seed"],
+    )
 
 
-def _train_config(config: dict) -> TrainConfig:
-    section = dict(config["train"])
-    section.pop("timing")
-    try:
-        return TrainConfig(patch=_patch_config(config), **section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train config invalid: {exc}") from exc
-
-
-def _head_config(config: dict, feature_dim: int) -> HeadConfig:
-    try:
-        return HeadConfig(feature_dim=feature_dim, **config["head"])
-    except ValueError as exc:
-        raise ConfigError(f"head config invalid: {exc}") from exc
+def _fit_frozen(config: dict, out: Path) -> FrozenModel:
+    fz = config["frozen"]
+    model = fit_frozen_decoder(
+        _section(config, "scene"),
+        feature_dim=fz["feature_dim"],
+        n_scenes=fz["fit_scenes"],
+        ridge_lam=fz["ridge_lambda"],
+        seed=fz["seed"],
+    )
+    save_frozen(model, out)
+    return model
 
 
 def cmd_gen_data(args) -> int:
     config = load_config(args.config, args.set)
-    spec = _scene_spec(config)
     out = Path(args.out)
-    export_dataset(
-        spec,
-        n_train=config["data"]["train_scenes"],
-        n_eval=config["data"]["eval_scenes"],
-        out_dir=out,
-        seed=config["data"]["seed"],
-    )
+    _gen_data(config, out)
     _echo_config(config, out)
     return 0
 
 
 def cmd_fit_frozen(args) -> int:
     config = load_config(args.config, args.set)
-    spec = _scene_spec(config)
-    fz = config["frozen"]
-    model = fit_frozen_decoder(
-        spec,
-        feature_dim=fz["feature_dim"],
-        n_scenes=fz["fit_scenes"],
-        ridge_lam=fz["ridge_lambda"],
-        seed=fz["seed"],
-    )
     out = Path(args.out)
-    digest = save_frozen(model, out)
+    model = _fit_frozen(config, out)
     _echo_config(config, out)
-    acc = decoder_accuracy(model, spec)
-    print(f"frozen model {digest[:12]} decoder accuracy {acc:.4f}")
+    acc = decoder_accuracy(model, _section(config, "scene"))
+    print(f"frozen model {frozen_digest(model)[:12]} decoder accuracy {acc:.4f}")
     return 0
 
 
@@ -273,8 +215,8 @@ def cmd_train(args) -> int:
     config = load_config(args.config, args.set)
     images = load_train_images(args.data)
     frozen = load_frozen(args.frozen)
-    cfg = _train_config(config)
-    head_cfg = _head_config(config, frozen.feature_dim)
+    cfg = _section(config, "train", patch=_section(config, "patch"))
+    head_cfg = _section(config, "head", feature_dim=frozen.feature_dim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     head, log = train(images, frozen, cfg, head_cfg)
@@ -341,36 +283,34 @@ def _prepare_world(config: dict, out: Path):
     data_dir = out / "data"
     frozen_dir = out / "frozen"
     if not (data_dir / "manifest.json").exists():
-        spec = _scene_spec(config)
-        export_dataset(
-            spec,
-            n_train=config["data"]["train_scenes"],
-            n_eval=config["data"]["eval_scenes"],
-            out_dir=data_dir,
-            seed=config["data"]["seed"],
-        )
+        _gen_data(config, data_dir)
     if not (frozen_dir / "digest.txt").exists():
-        fz = config["frozen"]
-        model = fit_frozen_decoder(
-            _scene_spec(config),
-            feature_dim=fz["feature_dim"],
-            n_scenes=fz["fit_scenes"],
-            ridge_lam=fz["ridge_lambda"],
-            seed=fz["seed"],
-        )
-        save_frozen(model, frozen_dir)
-    images = load_train_images(data_dir)
-    frozen = load_frozen(frozen_dir)
-    eval_set = load_eval_set(data_dir)
-    return images, frozen, eval_set
+        _fit_frozen(config, frozen_dir)
+    return load_train_images(data_dir), load_frozen(frozen_dir), load_eval_set(data_dir)
 
 
 def _train_arm(config: dict, images, frozen, **overrides) -> "HeadParams":
-    base = _train_config(config)
-    cfg = TrainConfig(**{**base.__dict__, **overrides})
-    head_cfg = _head_config(config, frozen.feature_dim)
-    head, _ = train(images, frozen, cfg, head_cfg)
+    cfg = dataclasses.replace(_section(config, "train", patch=_section(config, "patch")), **overrides)
+    head, _ = train(images, frozen, cfg, _section(config, "head", feature_dim=frozen.feature_dim))
     return head
+
+
+def _write_grid(out: Path, name: str, lines: list[str], frozen: FrozenModel, config: dict) -> None:
+    (out / name).write_text("\n".join(lines) + "\n")
+    (out / "frozen_digest.txt").write_text(frozen_digest(frozen) + "\n")
+    _echo_config(config, out)
+    for line in lines:
+        print(line)
+
+
+# arm -> (TrainConfig overrides, or None for no head; the scorer its row reports)
+ABLATE_ARMS = {
+    "jem": (None, "jem"),
+    "tae_only": ({"w_o": 0.0}, "tae"),
+    "tore_only": ({"w_a": 0.0}, "tore"),
+    "both": ({}, "combined"),
+    "margin_static": ({"margin": "static"}, "combined"),
+}
 
 
 def cmd_ablate(args) -> int:
@@ -379,41 +319,15 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     images, frozen, eval_set = _prepare_world(config, out)
     lam = config["train"]["lam"]
-
-    rows: list[tuple[str, str]] = []
-    results: dict[str, dict] = {}
-
-    results["jem"] = evaluate(None, frozen, eval_set, lam)
-    rows.append(("jem", "jem"))
-
-    head_tae = _train_arm(config, images, frozen, w_o=0.0)
-    results["tae_only"] = evaluate(head_tae, frozen, eval_set, lam)
-    rows.append(("tae_only", "tae"))
-
-    head_tore = _train_arm(config, images, frozen, w_a=0.0)
-    results["tore_only"] = evaluate(head_tore, frozen, eval_set, lam)
-    rows.append(("tore_only", "tore"))
-
-    head_both = _train_arm(config, images, frozen)
-    results["both"] = evaluate(head_both, frozen, eval_set, lam)
-    rows.append(("both", "combined"))
-
-    head_static = _train_arm(config, images, frozen, margin="static")
-    results["margin_static"] = evaluate(head_static, frozen, eval_set, lam)
-    rows.append(("margin_static", "combined"))
-
-    results["margin_dynamic"] = results["both"]  # same training, named for the margin table
-    rows.append(("margin_dynamic", "combined"))
-
+    rows = {}
+    for arm, (overrides, scorer) in ABLATE_ARMS.items():
+        head = None if overrides is None else _train_arm(config, images, frozen, **overrides)
+        rows[arm] = (scorer, evaluate(head, frozen, eval_set, lam)[scorer])
+    rows["margin_dynamic"] = rows["both"]  # same training, named for the margin table
     lines = ["arm,scorer,ap,auroc,fpr95,n_pos,n_neg"]
-    for arm, scorer in rows:
-        r = results[arm][scorer]
+    for arm, (scorer, r) in rows.items():
         lines.append(f"{arm},{scorer},{r.ap!r},{r.auroc!r},{r.fpr95!r},{r.n_pos},{r.n_neg}")
-    (out / "ablate.csv").write_text("\n".join(lines) + "\n")
-    (out / "frozen_digest.txt").write_text(frozen_digest(frozen) + "\n")
-    _echo_config(config, out)
-    for line in lines:
-        print(line)
+    _write_grid(out, "ablate.csv", lines, frozen, config)
     return 0
 
 
@@ -425,23 +339,20 @@ def cmd_sweep(args) -> int:
     if args.param not in SWEEP_PARAMS:
         raise ConfigError(f"--param must be one of {sorted(SWEEP_PARAMS)}, got {args.param!r}")
     section, key = SWEEP_PARAMS[args.param]
+    runs = []
+    for raw in args.values:  # typed and checked like --set, before any work
+        run_cfg = copy.deepcopy(config)
+        _merge_strict(run_cfg, _parse_set(f"{section}.{key}={raw}"))
+        runs.append(run_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     images, frozen, eval_set = _prepare_world(config, out)
     lines = ["param,value,ap,auroc,fpr95"]
-    for raw in args.values:
-        value = int(raw) if args.param == "patches" else float(raw)
-        run_cfg = copy.deepcopy(config)
-        run_cfg[section][key] = value
+    for run_cfg in runs:
         head = _train_arm(run_cfg, images, frozen)
-        results = evaluate(head, frozen, eval_set, lam=run_cfg["train"]["lam"])
-        r = results["combined"]
-        lines.append(f"{args.param},{value!r},{r.ap!r},{r.auroc!r},{r.fpr95!r}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    (out / "frozen_digest.txt").write_text(frozen_digest(frozen) + "\n")
-    _echo_config(config, out)
-    for line in lines:
-        print(line)
+        r = evaluate(head, frozen, eval_set, lam=run_cfg["train"]["lam"])["combined"]
+        lines.append(f"{args.param},{run_cfg[section][key]!r},{r.ap!r},{r.auroc!r},{r.fpr95!r}")
+    _write_grid(out, "sweep.csv", lines, frozen, config)
     return 0
 
 
@@ -507,7 +418,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, BadValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ArtifactError, TensorFormatError, NetpbmError, FileNotFoundError) as exc:

@@ -27,12 +27,6 @@ import numpy as np
 from .head import HeadParams, head_forward
 from .tensorio import read_tensor, write_tensor
 
-SCORERS = ("combined", "tae", "tore", "jem", "msp", "entropy", "max_logit")
-
-# scorers that need head logits in addition to segmentation logits
-HEAD_SCORERS = ("combined", "tae", "tore")
-
-
 @dataclass(frozen=True)
 class ScoreMap:
     values: np.ndarray  # [H, W] float64
@@ -124,23 +118,39 @@ def baseline_scores(seg_logits) -> dict[str, float]:
     }
 
 
+# scorer -> map from (head logits, seg logits, lam); head logits are None for
+# scorers outside HEAD_SCORERS.  The entries look map functions up at call
+# time, so a rebound module attribute reaches every caller.
+_HEAD_MAPS = {
+    "combined": lambda hl, seg, lam: combined_map(hl, seg, lam),
+    "tae": lambda hl, seg, lam: tae_log_prob_map(hl, 1),
+    "tore": lambda hl, seg, lam: tore_residual_map(hl, seg),
+}
+_SCORER_MAPS = {
+    **_HEAD_MAPS,
+    "jem": lambda hl, seg, lam: jem_map(seg),
+    "msp": lambda hl, seg, lam: msp_map(seg),
+    "entropy": lambda hl, seg, lam: entropy_map(seg),
+    "max_logit": lambda hl, seg, lam: max_logit_map(seg),
+}
+SCORERS = tuple(_SCORER_MAPS)
+HEAD_SCORERS = tuple(_HEAD_MAPS)  # need head logits as well as seg logits
+
+
 def all_score_maps(
     head: HeadParams | None,
     features: np.ndarray,
     seg_logits: np.ndarray,
     lam: float = 0.5,
 ) -> dict[str, np.ndarray]:
-    """Every scorer's map in one pass; head-based maps need ``head``."""
+    """Every scorer's map from one head forward; head-based maps need ``head``."""
+    hl = head_forward(head, features, mode="eval")[0] if head is not None else None
     out = {
-        "jem": jem_map(seg_logits),
-        "msp": msp_map(seg_logits),
-        "entropy": entropy_map(seg_logits),
-        "max_logit": max_logit_map(seg_logits),
+        name: fn(hl, seg_logits, lam)
+        for name, fn in _SCORER_MAPS.items()
+        if name != "combined" and (hl is not None or name not in HEAD_SCORERS)
     }
-    if head is not None:
-        hl, _ = head_forward(head, features, mode="eval")
-        out["tae"] = tae_log_prob_map(hl, 1)
-        out["tore"] = tore_residual_map(hl, seg_logits)
+    if hl is not None:  # combined_map's sum, reusing the tae and tore maps
         out["combined"] = out["tae"] + lam * out["tore"]
     return out
 
@@ -158,27 +168,14 @@ def score_map(
     seg = np.asarray(seg_logits, dtype=np.float64)
     if seg.ndim != 3:
         raise ValueError(f"seg logits must be [K, H, W], got shape {seg.shape}")
+    hl = None
     if scorer in HEAD_SCORERS:
         if head is None:
             raise ValueError(f"scorer {scorer!r} needs head parameters")
         hl, _ = head_forward(head, features, mode="eval")
         if hl.shape[1:] != seg.shape[1:]:
             raise ValueError(f"head/seg spatial mismatch: {hl.shape} vs {seg.shape}")
-        if scorer == "tae":
-            values = tae_log_prob_map(hl, 1)
-        elif scorer == "tore":
-            values = tore_residual_map(hl, seg)
-        else:
-            values = combined_map(hl, seg, lam)
-    elif scorer == "jem":
-        values = jem_map(seg)
-    elif scorer == "msp":
-        values = msp_map(seg)
-    elif scorer == "entropy":
-        values = entropy_map(seg)
-    else:
-        values = max_logit_map(seg)
-    return ScoreMap(values=values, scorer=scorer, lam=lam)
+    return ScoreMap(values=_SCORER_MAPS[scorer](hl, seg, lam), scorer=scorer, lam=lam)
 
 
 def save_score_map(sm: ScoreMap, path: str | Path) -> None:

@@ -34,6 +34,10 @@ class ArtifactError(ValueError):
     """Stored artifact missing, malformed, or digest-mismatched."""
 
 
+class BadValueError(ValueError):
+    """A size or count argument outside its accepted range."""
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     height: int = 64
@@ -222,9 +226,9 @@ def fit_frozen_decoder(
     every coefficient to zero.
     """
     if feature_dim < 1:
-        raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
+        raise BadValueError(f"feature_dim must be >= 1, got {feature_dim}")
     if n_scenes < 1:
-        raise ValueError(f"need at least one scene, got {n_scenes}")
+        raise BadValueError(f"need at least one scene, got {n_scenes}")
     proj = np.random.default_rng([seed, 0]).standard_normal((feature_dim, NEIGHBORHOOD))
     proj /= np.sqrt(NEIGHBORHOOD)
     k = spec.classes
@@ -295,9 +299,9 @@ def export_dataset(spec: SceneSpec, n_train: int, n_eval: int, out_dir: str | Pa
     Anomaly masks store 0 = normal, 1 = anomalous (255 would mean IGNORE).
     """
     if n_train < 2:
-        raise ValueError(f"need >= 2 training scenes for donor sampling, got {n_train}")
+        raise BadValueError(f"need >= 2 training scenes for donor sampling, got {n_train}")
     if n_eval < 1:
-        raise ValueError(f"need >= 1 eval scene, got {n_eval}")
+        raise BadValueError(f"need >= 1 eval scene, got {n_eval}")
     out = Path(out_dir)
     (out / "train").mkdir(parents=True, exist_ok=True)
     (out / "eval").mkdir(parents=True, exist_ok=True)

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import SCORERS, all_score_maps, combined_map, jem_map
+from .estimators import HEAD_SCORERS, SCORERS, all_score_maps, combined_map, jem_map
 from .head import HeadConfig, HeadParams, head_backward, head_forward, head_init, save_head
-from .losses import DegeneratePartitionError, batch_total_loss
+from .losses import MARGIN_MODES, DegeneratePartitionError, batch_total_loss
 from .metrics import EvalResult, evaluate_scores
 from .patches import PatchConfig, synth_pasted_scene
 from .refine import EmptyPastedRegionError, PixelPartition, refine_partition
@@ -65,8 +65,8 @@ class TrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.refine_mode not in REFINE_MODES:
             raise ValueError(f"refine_mode must be one of {REFINE_MODES}, got {self.refine_mode!r}")
-        if self.margin not in ("dynamic", "static"):
-            raise ValueError(f"margin must be 'dynamic' or 'static', got {self.margin!r}")
+        if self.margin not in MARGIN_MODES:
+            raise ValueError(f"margin must be one of {MARGIN_MODES}, got {self.margin!r}")
         if self.w_a < 0.0 or self.w_o < 0.0:
             raise ValueError("loss weights must be >= 0")
         if not 0.0 <= self.max_abort_frac <= 1.0:
@@ -120,8 +120,7 @@ def _prepare_example(
 ):
     """Steps shared per batch slot: paste, encode, score, partition.
 
-    Pure with respect to the head (eval-mode forward), so slots may run
-    concurrently without changing results.
+    Pure with respect to the head (eval-mode forward).
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(iteration, slot)))
     t_idx = int(rng.integers(len(images)))
@@ -261,7 +260,7 @@ def evaluate(
         for name, values in maps.items():
             pooled[name].append(values[valid])
     y = np.concatenate(labels)
-    order = [s for s in SCORERS if head is not None or s not in ("combined", "tae", "tore")]
+    order = [s for s in SCORERS if head is not None or s not in HEAD_SCORERS]
     return {name: evaluate_scores(np.concatenate(pooled[name]), y) for name in order}
 
 

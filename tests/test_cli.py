@@ -1,11 +1,12 @@
 """CLI tests: config handling, exit codes, and a tiny end-to-end pipeline."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from oodseg.cli import ConfigError, DEFAULT_CONFIG, load_config, main
+from oodseg.cli import ConfigError, DEFAULT_CONFIG, SECTIONS, _section, load_config, main
 from oodseg.estimators import load_score_map
 from oodseg.tensorio import read_pgm
 
@@ -72,6 +73,8 @@ class TestLoadConfig:
             {"train": {"iterations": True}},
             {"train": {"per_region": 1}},
             {"train": {"refine_mode": 3}},
+            {"train": {"lr": float("nan")}},       # written as NaN
+            {"train": {"gamma": float("inf")}},    # written as Infinity
         ],
     )
     def test_file_rejections(self, tmp_path, payload):
@@ -117,11 +120,55 @@ class TestLoadConfig:
             "train.iterations=abc",
             "train.lr=x",
             "train.per_region=maybe",
+            "train.lr=nan",
+            "train.lr=inf",
+            "train.gamma=nan",
+            "scene.noise=-inf",
+            "train.iterations=1.5",
+            "train.iterations=true",
         ],
     )
     def test_set_rejections(self, expr):
         with pytest.raises(ConfigError):
             load_config(None, [expr])
+
+
+def _text(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+class TestSchemaRoundTrip:
+    def test_every_key_round_trips_through_set(self):
+        sets = [f"{section}.{key}={_text(v)}" for section, keys in DEFAULT_CONFIG.items() for key, v in keys.items()]
+        assert len(sets) == 47
+        config = load_config(None, sets)
+        assert config == DEFAULT_CONFIG
+        for section, keys in DEFAULT_CONFIG.items():
+            for key, value in keys.items():
+                assert type(config[section][key]) is type(value), f"{section}.{key}"
+
+    def test_every_key_round_trips_through_json(self, tmp_path):
+        p = tmp_path / "defaults.json"
+        p.write_text(json.dumps(DEFAULT_CONFIG))
+        config = load_config(str(p), [])
+        assert config == DEFAULT_CONFIG
+        for section, keys in DEFAULT_CONFIG.items():
+            for key, value in keys.items():
+                assert type(config[section][key]) is type(value), f"{section}.{key}"
+
+    def test_sections_are_the_dataclass_defaults(self):
+        config = load_config(None, [])
+        assert _section(config, "scene") == SECTIONS["scene"]()
+        assert _section(config, "patch") == SECTIONS["patch"]()
+        assert _section(config, "head", feature_dim=16) == SECTIONS["head"](feature_dim=16)
+        assert _section(config, "train", patch=_section(config, "patch")) == SECTIONS["train"]()
+
+    def test_every_dataclass_field_is_settable(self):
+        # feature_dim comes from the frozen model, train.patch from the patch section
+        supplied = {("head", "feature_dim"), ("train", "patch")}
+        for section, cls in SECTIONS.items():
+            for f in dataclasses.fields(cls):
+                assert f.name in DEFAULT_CONFIG[section] or (section, f.name) in supplied, f"{section}.{f.name}"
 
 
 class TestPipeline:
@@ -284,6 +331,21 @@ class TestExitCodes:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--set", "data.train_scenes=1"],
+            ["gen-data", "--set", "data.eval_scenes=0"],
+            ["fit-frozen", "--set", "frozen.feature_dim=0"],
+            ["fit-frozen", "--set", "frozen.fit_scenes=0"],
+            ["sweep", "--param", "patches", "--values", "abc"],
+            ["sweep", "--param", "gamma", "--values", "nan"],
+            ["train", "--set", "train.lr=nan", "--data", "d", "--frozen", "f"],
+        ],
+    )
+    def test_bad_value_is_2(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+
 
 class TestGrids:
     def test_ablate(self, tmp_path, capsys):
@@ -315,6 +377,13 @@ class TestGrids:
         assert len(lines) == 3
         assert lines[1].startswith("gamma,5.0,")
         assert lines[2].startswith("gamma,15.0,")
+
+    def test_sweep_patches_values_are_integers(self, tmp_path):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", *TINY, "--out", str(out), "--param", "patches", "--values", "2", "3"])
+        assert rc == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["patches", "2"], ["patches", "3"]]
 
     def test_sweep_unknown_param_is_2(self, tmp_path):
         rc = main(["sweep", *TINY, "--out", str(tmp_path / "s"), "--param", "depth", "--values", "1"])
