@@ -137,24 +137,23 @@ def _text(value) -> str:
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
+def _assert_is_default(config):
+    assert config == DEFAULT_CONFIG
+    for section, keys in DEFAULT_CONFIG.items():
+        for key, value in keys.items():
+            assert type(config[section][key]) is type(value), f"{section}.{key}"
+
+
 class TestSchemaRoundTrip:
     def test_every_key_round_trips_through_set(self):
         sets = [f"{section}.{key}={_text(v)}" for section, keys in DEFAULT_CONFIG.items() for key, v in keys.items()]
         assert len(sets) == 47
-        config = load_config(None, sets)
-        assert config == DEFAULT_CONFIG
-        for section, keys in DEFAULT_CONFIG.items():
-            for key, value in keys.items():
-                assert type(config[section][key]) is type(value), f"{section}.{key}"
+        _assert_is_default(load_config(None, sets))
 
     def test_every_key_round_trips_through_json(self, tmp_path):
         p = tmp_path / "defaults.json"
         p.write_text(json.dumps(DEFAULT_CONFIG))
-        config = load_config(str(p), [])
-        assert config == DEFAULT_CONFIG
-        for section, keys in DEFAULT_CONFIG.items():
-            for key, value in keys.items():
-                assert type(config[section][key]) is type(value), f"{section}.{key}"
+        _assert_is_default(load_config(str(p), []))
 
     def test_sections_are_the_dataclass_defaults(self):
         config = load_config(None, [])
@@ -342,9 +341,11 @@ class TestExitCodes:
             ["sweep", "--param", "gamma", "--values", "nan"],
             ["train", "--set", "train.lr=nan", "--data", "d", "--frozen", "f"],
         ],
+        ids=["train_scenes", "eval_scenes", "feature_dim", "fit_scenes", "sweep_abc", "sweep_nan", "train_nan"],
     )
     def test_bad_value_is_2(self, tmp_path, argv):
-        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        # TINY first, so that a value wrongly accepted costs a tiny run, not a desk-size one
+        assert main([argv[0], *TINY, *argv[1:], "--out", str(tmp_path / "o")]) == 2
 
 
 class TestGrids:
