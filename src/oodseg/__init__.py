@@ -7,18 +7,9 @@ encoder/decoder to rank anomalous pixels above normal ones.  Scores blend
 a task-agnostic binary estimator with an energy-based residual estimator.
 """
 
-from .estimators import (
-    SCORERS,
-    ScoreMap,
-    baseline_scores,
-    combined_score,
-    jem_score,
-    score_map,
-    tae_log_prob,
-    tore_log_prob_residual,
-)
+from .estimators import SCORERS, ScoreMap, score_map
 from .head import HeadConfig, HeadParams, head_backward, head_forward, head_init, load_head, save_head
-from .losses import DegeneratePartitionError, LossValue, loss_tae, loss_tore, total_loss
+from .losses import DegeneratePartitionError
 from .metrics import EvalResult, auroc, average_precision, evaluate_scores, fpr_at_tpr
 from .patches import (
     PastedScene,

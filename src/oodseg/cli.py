@@ -242,6 +242,7 @@ def _load_matched_head(head_dir: str, frozen) -> "HeadParams":
 
 
 def cmd_score(args) -> int:
+    _coerce("--lam", 0.5, args.lam)  # finite, before any file is touched
     frozen = load_frozen(args.frozen)
     head = _load_matched_head(args.head, frozen) if args.head else None
     image = read_ppm(args.image)
@@ -261,6 +262,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _coerce("--lam", 0.5, args.lam)  # finite, before any file is touched
     frozen = load_frozen(args.frozen)
     head = _load_matched_head(args.head, frozen) if args.head else None
     eval_set = load_eval_set(args.data)
@@ -279,13 +281,11 @@ def cmd_eval(args) -> int:
 
 
 def _prepare_world(config: dict, out: Path):
-    """Dataset + frozen model under the run dir (reused if already present)."""
+    """Dataset + frozen model built from ``config`` under the run dir."""
     data_dir = out / "data"
     frozen_dir = out / "frozen"
-    if not (data_dir / "manifest.json").exists():
-        _gen_data(config, data_dir)
-    if not (frozen_dir / "digest.txt").exists():
-        _fit_frozen(config, frozen_dir)
+    _gen_data(config, data_dir)
+    _fit_frozen(config, frozen_dir)
     return load_train_images(data_dir), load_frozen(frozen_dir), load_eval_set(data_dir)
 
 

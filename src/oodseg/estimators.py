@@ -10,7 +10,7 @@ two-channel head refines it two ways: a task-agnostic binary log-probability
 unnormalized log-probability is head[1] + jem (the shared normalizer is a
 constant per parameter set and is never materialized).  The combined score
 
-    combined = tae_log_prob(o=1) + lam * tore_residual
+    combined = log p_tae(anomalous) + lam * (head[1] + jem)
 
 is what training and evaluation rank pixels by.  Three sign-flipped
 segmentation baselines (msp, entropy, max_logit) come along for comparison;
@@ -82,40 +82,6 @@ def entropy_map(seg_logits: np.ndarray) -> np.ndarray:
 
 def max_logit_map(seg_logits: np.ndarray) -> np.ndarray:
     return -np.max(np.asarray(seg_logits, dtype=np.float64), axis=0)
-
-
-# ---------------------------------------------------------------------------
-# scalar forms (single pixel); these reuse the map code on singleton shapes
-
-def jem_score(seg_logits) -> float:
-    v = np.asarray(seg_logits, dtype=np.float64).reshape(-1, 1, 1)
-    return float(jem_map(v)[0, 0])
-
-
-def tae_log_prob(head_logits, o: int) -> float:
-    v = np.asarray(head_logits, dtype=np.float64).reshape(-1, 1, 1)
-    return float(tae_log_prob_map(v, o)[0, 0])
-
-
-def tore_log_prob_residual(head_logits, seg_logits) -> float:
-    h = np.asarray(head_logits, dtype=np.float64).reshape(-1, 1, 1)
-    s = np.asarray(seg_logits, dtype=np.float64).reshape(-1, 1, 1)
-    return float(tore_residual_map(h, s)[0, 0])
-
-
-def combined_score(head_logits, seg_logits, lam: float = 0.5) -> float:
-    h = np.asarray(head_logits, dtype=np.float64).reshape(-1, 1, 1)
-    s = np.asarray(seg_logits, dtype=np.float64).reshape(-1, 1, 1)
-    return float(combined_map(h, s, lam)[0, 0])
-
-
-def baseline_scores(seg_logits) -> dict[str, float]:
-    v = np.asarray(seg_logits, dtype=np.float64).reshape(-1, 1, 1)
-    return {
-        "msp": float(msp_map(v)[0, 0]),
-        "entropy": float(entropy_map(v)[0, 0]),
-        "max_logit": float(max_logit_map(v)[0, 0]),
-    }
 
 
 # scorer -> map from (head logits, seg logits, lam); head logits are None for

@@ -19,12 +19,12 @@ running statistics in place, eval-mode forwards are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .tensorio import read_tensor, write_tensor
+from .tensorio import ArtifactError, read_tensor, write_tensor
 
 OUT_CHANNELS = 2
 
@@ -88,25 +88,16 @@ class HeadParams:
         leaves.append(("out.b", self.out_b))
         return leaves
 
-    def n_parameters(self) -> int:
-        n = sum(arr.size for _, arr in self.trainable())
-        for blk in self.blocks:
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Every stored array: the trainable leaves, then the running statistics."""
+        leaves = self.trainable()
+        for i, blk in enumerate(self.blocks):
             if blk.run_mean is not None:
-                n += blk.run_mean.size + blk.run_var.size
-        return n
+                leaves += [(f"block{i}.run_mean", blk.run_mean), (f"block{i}.run_var", blk.run_var)]
+        return leaves
 
-
-def expected_n_parameters(cfg: HeadConfig) -> int:
-    k2 = cfg.kernel_size**2
-    n = 0
-    c_in = cfg.feature_dim
-    for _ in range(cfg.blocks):
-        n += cfg.hidden * c_in * k2 + cfg.hidden  # conv w + b
-        if cfg.use_batchnorm:
-            n += 4 * cfg.hidden  # gamma, beta, running mean, running var
-        c_in = cfg.hidden
-    n += OUT_CHANNELS * cfg.hidden + OUT_CHANNELS
-    return n
+    def n_parameters(self) -> int:
+        return sum(arr.size for _, arr in self.arrays())
 
 
 def head_init(cfg: HeadConfig, seed: int) -> HeadParams:
@@ -307,37 +298,29 @@ def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# checkpointing: one TNSR file per array plus a plain-text manifest
+# checkpointing: one TNSR file per array plus a plain-text manifest holding
+# the HeadConfig fields (bools as 0/1, everything else as repr)
 
 _MANIFEST = "head.txt"
+_FROM_TEXT = {"int": int, "float": float, "bool": {"0": False, "1": True}.__getitem__}
+
+
+def _tensor_file(name: str) -> str:
+    return name.replace(".", "_") + ".tnsr"  # block0.run_mean -> block0_run_mean.tnsr
 
 
 def save_head(params: HeadParams, out_dir: str | Path, extra: dict[str, str] | None = None) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = params.config
-    lines = [
-        f"feature_dim={cfg.feature_dim}",
-        f"blocks={cfg.blocks}",
-        f"hidden={cfg.hidden}",
-        f"kernel_size={cfg.kernel_size}",
-        f"use_batchnorm={int(cfg.use_batchnorm)}",
-        f"bn_momentum={cfg.bn_momentum!r}",
-        f"bn_epsilon={cfg.bn_epsilon!r}",
-    ]
+    lines = []
+    for f in fields(HeadConfig):
+        val = getattr(params.config, f.name)
+        lines.append(f"{f.name}={int(val) if isinstance(val, bool) else repr(val)}")
     for key, val in (extra or {}).items():
         lines.append(f"{key}={val}")
     (out / _MANIFEST).write_text("\n".join(lines) + "\n")
-    for i, blk in enumerate(params.blocks):
-        write_tensor(out / f"block{i}_w.tnsr", blk.w)
-        write_tensor(out / f"block{i}_b.tnsr", blk.b)
-        if blk.gamma is not None:
-            write_tensor(out / f"block{i}_gamma.tnsr", blk.gamma)
-            write_tensor(out / f"block{i}_beta.tnsr", blk.beta)
-            write_tensor(out / f"block{i}_run_mean.tnsr", blk.run_mean)
-            write_tensor(out / f"block{i}_run_var.tnsr", blk.run_var)
-    write_tensor(out / "out_w.tnsr", params.out_w)
-    write_tensor(out / "out_b.tnsr", params.out_b)
+    for name, arr in params.arrays():
+        write_tensor(out / _tensor_file(name), arr)
 
 
 def read_head_manifest(ckpt_dir: str | Path) -> dict[str, str]:
@@ -350,36 +333,18 @@ def read_head_manifest(ckpt_dir: str | Path) -> dict[str, str]:
 
 
 def load_head(ckpt_dir: str | Path) -> HeadParams:
+    """Checkpoint written by ``save_head``; every tensor must have the shape
+    its manifest's config implies, else ``ArtifactError``."""
     ckpt = Path(ckpt_dir)
     meta = read_head_manifest(ckpt)
-    cfg = HeadConfig(
-        feature_dim=int(meta["feature_dim"]),
-        blocks=int(meta["blocks"]),
-        hidden=int(meta["hidden"]),
-        kernel_size=int(meta["kernel_size"]),
-        use_batchnorm=bool(int(meta["use_batchnorm"])),
-        bn_momentum=float(meta["bn_momentum"]),
-        bn_epsilon=float(meta["bn_epsilon"]),
-    )
-    blocks = []
-    for i in range(cfg.blocks):
-        blk = BlockParams(
-            w=read_tensor(ckpt / f"block{i}_w.tnsr"),
-            b=read_tensor(ckpt / f"block{i}_b.tnsr"),
-        )
-        if cfg.use_batchnorm:
-            blk.gamma = read_tensor(ckpt / f"block{i}_gamma.tnsr")
-            blk.beta = read_tensor(ckpt / f"block{i}_beta.tnsr")
-            blk.run_mean = read_tensor(ckpt / f"block{i}_run_mean.tnsr")
-            blk.run_var = read_tensor(ckpt / f"block{i}_run_var.tnsr")
-        blocks.append(blk)
-    params = HeadParams(
-        config=cfg,
-        blocks=blocks,
-        out_w=read_tensor(ckpt / "out_w.tnsr"),
-        out_b=read_tensor(ckpt / "out_b.tnsr"),
-    )
-    expected = expected_n_parameters(cfg)
-    if params.n_parameters() != expected:
-        raise ValueError(f"checkpoint holds {params.n_parameters()} parameters, config implies {expected}")
+    try:
+        cfg = HeadConfig(**{f.name: _FROM_TEXT[f.type](meta[f.name]) for f in fields(HeadConfig)})
+    except (KeyError, ValueError) as exc:
+        raise ArtifactError(f"malformed head manifest under {ckpt}: {exc!r}") from exc
+    params = head_init(cfg, seed=0)
+    for name, arr in params.arrays():
+        stored = read_tensor(ckpt / _tensor_file(name))
+        if stored.shape != arr.shape:
+            raise ArtifactError(f"{name} has shape {stored.shape} in {ckpt}, config implies {arr.shape}")
+        arr[...] = stored
     return params

@@ -18,12 +18,7 @@ get exactly zero gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .estimators import jem_map
-from .refine import PixelPartition
 
 MARGIN_MODES = ("dynamic", "static")
 
@@ -32,12 +27,13 @@ class DegeneratePartitionError(ValueError):
     """A loss term has an empty anomaly or in-distribution set."""
 
 
-@dataclass(frozen=True)
-class LossValue:
-    total: float
-    l_a: float
-    l_o: float
-    grad: np.ndarray  # [2, H, W] dLoss/dlogits
+def pooled_set_sizes(partitions) -> tuple[int, int]:
+    """|ood| and |id| pooled over ``partitions``; either being empty is degenerate."""
+    n_ood = sum(int(p.ood_mask.sum()) for p in partitions)
+    n_id = sum(int(p.id_mask.sum()) for p in partitions)
+    if n_ood == 0 or n_id == 0:
+        raise DegeneratePartitionError(f"need both sets populated, got |ood|={n_ood} |id|={n_id}")
+    return n_ood, n_id
 
 
 def _log_softmax2(logits: np.ndarray) -> np.ndarray:
@@ -50,10 +46,7 @@ def batch_loss_tae(items) -> tuple[float, list[np.ndarray]]:
     mean(-log p0) on in-distribution pixels.  ``items`` is a list of
     (head_logits [2,H,W], jem_values, partition) triples; jem is unused here.
     """
-    n_ood = sum(int(p.ood_mask.sum()) for _, _, p in items)
-    n_id = sum(int(p.id_mask.sum()) for _, _, p in items)
-    if n_ood == 0 or n_id == 0:
-        raise DegeneratePartitionError(f"need both sets populated, got |ood|={n_ood} |id|={n_id}")
+    n_ood, n_id = pooled_set_sizes([p for _, _, p in items])
     value = 0.0
     grads = []
     for logits, _, part in items:
@@ -78,10 +71,7 @@ def batch_loss_tore(items, gamma: float, margin: str = "dynamic") -> tuple[float
     """
     if margin not in MARGIN_MODES:
         raise ValueError(f"margin must be one of {MARGIN_MODES}, got {margin!r}")
-    n_ood = sum(int(p.ood_mask.sum()) for _, _, p in items)
-    n_id = sum(int(p.id_mask.sum()) for _, _, p in items)
-    if n_ood == 0 or n_id == 0:
-        raise DegeneratePartitionError(f"need both sets populated, got |ood|={n_ood} |id|={n_id}")
+    n_ood, n_id = pooled_set_sizes([p for _, _, p in items])
     mean_id = 0.0
     mean_ood = 0.0
     for logits, jem, part in items:
@@ -112,45 +102,3 @@ def batch_total_loss(
     total = w_a * l_a + w_o * l_o
     grads = [w_a * ga + w_o * go for ga, go in zip(grads_a, grads_o)]
     return total, l_a, l_o, grads
-
-
-def _as_item(head_logits, seg_logits, partition: PixelPartition):
-    logits = np.asarray(head_logits, dtype=np.float64)
-    if logits.ndim != 3 or logits.shape[0] != 2:
-        raise ValueError(f"head logits must be [2, H, W], got {logits.shape}")
-    if logits.shape[1:] != partition.ood_mask.shape:
-        raise ValueError("logits and partition shapes disagree")
-    jem = jem_map(seg_logits) if seg_logits is not None else np.zeros(logits.shape[1:])
-    return logits, jem, partition
-
-
-def loss_tae(head_logits, partition: PixelPartition) -> tuple[float, np.ndarray]:
-    item = _as_item(head_logits, None, partition)
-    value, grads = batch_loss_tae([item])
-    return value, grads[0]
-
-
-def loss_tore(
-    head_logits,
-    seg_logits,
-    partition: PixelPartition,
-    gamma: float,
-    margin: str = "dynamic",
-) -> tuple[float, np.ndarray]:
-    item = _as_item(head_logits, seg_logits, partition)
-    value, grads = batch_loss_tore([item], gamma, margin)
-    return value, grads[0]
-
-
-def total_loss(
-    head_logits,
-    seg_logits,
-    partition: PixelPartition,
-    gamma: float,
-    w_a: float = 1.0,
-    w_o: float = 1.0,
-    margin: str = "dynamic",
-) -> LossValue:
-    item = _as_item(head_logits, seg_logits, partition)
-    total, l_a, l_o, grads = batch_total_loss([item], gamma, w_a, w_o, margin)
-    return LossValue(total=total, l_a=l_a, l_o=l_o, grad=grads[0])

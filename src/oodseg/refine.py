@@ -7,7 +7,8 @@ pasted score, minimizing either the plain sum of within-group variances
 ("eq11") or the count-weighted within-class variance ("otsu").  Pixels of
 the pasted region at or above the winning threshold become the anomaly set,
 the rest of the pasted region is ignored, and everything outside is the
-in-distribution set.
+in-distribution set.  Mode "none" skips the search and keeps the whole
+pasted region as anomalies.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .tensorio import write_pgm
 
-MODES = ("eq11", "otsu")
+SEARCH_MODES = ("eq11", "otsu")
+MODES = (*SEARCH_MODES, "none")
 
 
 class EmptyPastedRegionError(ValueError):
@@ -41,8 +43,8 @@ def threshold_objective(scores, eta: float, mode: str = "eq11") -> float:
     Scores >= eta form the upper group, the rest the lower; a group with
     fewer than two members contributes zero variance.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode not in SEARCH_MODES:
+        raise ValueError(f"mode must be one of {SEARCH_MODES}, got {mode!r}")
     s = np.asarray(scores, dtype=np.float64).ravel()
     hi = s[s >= eta]
     lo = s[s < eta]
@@ -59,8 +61,8 @@ def search_threshold(scores, num_bins: int = 256, mode: str = "eq11") -> float:
     Ties go to the smallest candidate, which keeps the upper group as
     large as possible.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode not in SEARCH_MODES:
+        raise ValueError(f"mode must be one of {SEARCH_MODES}, got {mode!r}")
     if num_bins < 1:
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
     s = np.asarray(scores, dtype=np.float64).ravel()
@@ -106,6 +108,8 @@ def refine_partition(
 
     Pooled by default: one threshold over every pasted pixel.  With
     ``per_region`` each pasted region (by id) gets its own threshold.
+    Mode "none" keeps every pasted pixel; its ``eta`` is the lowest pasted
+    score.
     """
     scores = np.asarray(score_values, dtype=np.float64)
     pasted = np.asarray(pasted_mask, dtype=bool)
@@ -113,34 +117,32 @@ def refine_partition(
         raise ValueError(f"score/mask shape mismatch: {scores.shape} vs {pasted.shape}")
     if not pasted.any():
         raise EmptyPastedRegionError("pasted mask is empty")
-    if per_region:
+    etas: dict[int, float] | None = None
+    if mode == "none":
+        ood = pasted.copy()
+        eta = float(scores[pasted].min())
+    elif per_region:
         if region_ids is None:
             raise ValueError("per_region refinement needs region ids")
         ids = np.asarray(region_ids)
         ood = np.zeros_like(pasted)
-        etas: dict[int, float] = {}
+        etas = {}
         for rid in np.unique(ids[pasted]):
             region = pasted & (ids == rid)
             eta_r = search_threshold(scores[region], num_bins, mode)
             etas[int(rid)] = eta_r
             ood |= region & (scores >= eta_r)
-        part = PixelPartition(
-            ood_mask=ood,
-            id_mask=~pasted,
-            ignored_mask=pasted & ~ood,
-            eta=float("nan"),
-            eta_by_region=etas,
-        )
+        eta = float("nan")
     else:
         eta = search_threshold(scores[pasted], num_bins, mode)
         ood = pasted & (scores >= eta)
-        part = PixelPartition(
-            ood_mask=ood,
-            id_mask=~pasted,
-            ignored_mask=pasted & ~ood,
-            eta=eta,
-        )
-    return part
+    return PixelPartition(
+        ood_mask=ood,
+        id_mask=~pasted,
+        ignored_mask=pasted & ~ood,
+        eta=eta,
+        eta_by_region=etas,
+    )
 
 
 def save_partition_pgm(part: PixelPartition, path: str | Path) -> None:

@@ -27,11 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensorio import IGNORE, read_pgm, read_ppm, read_tensor, write_pgm, write_ppm, write_tensor
-
-
-class ArtifactError(ValueError):
-    """Stored artifact missing, malformed, or digest-mismatched."""
+from .tensorio import (
+    IGNORE,
+    ArtifactError,
+    read_pgm,
+    read_ppm,
+    read_tensor,
+    write_pgm,
+    write_ppm,
+    write_tensor,
+)
 
 
 class BadValueError(ValueError):

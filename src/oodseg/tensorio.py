@@ -30,6 +30,10 @@ _MAX_RANK = 4
 _U64_MAX = 2**64 - 1
 
 
+class ArtifactError(ValueError):
+    """Stored artifact missing, malformed, or digest-mismatched."""
+
+
 class TensorFormatError(ValueError):
     """Malformed or unsupported TNSR data."""
 

@@ -19,14 +19,13 @@ import numpy as np
 
 from .estimators import HEAD_SCORERS, SCORERS, all_score_maps, combined_map, jem_map
 from .head import HeadConfig, HeadParams, head_backward, head_forward, head_init, save_head
-from .losses import MARGIN_MODES, DegeneratePartitionError, batch_total_loss
+from .losses import MARGIN_MODES, DegeneratePartitionError, batch_total_loss, pooled_set_sizes
 from .metrics import EvalResult, evaluate_scores
 from .patches import PatchConfig, synth_pasted_scene
-from .refine import EmptyPastedRegionError, PixelPartition, refine_partition
+from .refine import MODES as REFINE_MODES
+from .refine import EmptyPastedRegionError, refine_partition
 from .synthworld import FrozenModel, frozen_digest, frozen_encoder, seg_logits_map
 from .tensorio import IGNORE
-
-REFINE_MODES = ("eq11", "otsu", "none")
 
 
 class TrainingAbortedError(RuntimeError):
@@ -135,23 +134,13 @@ def _prepare_example(
     else:
         logits, _ = head_forward(head, feats, mode="eval")
         score = combined_map(logits, seg, cfg.lam)
-    if cfg.refine_mode == "none":
-        if not scene.mask.any():
-            raise EmptyPastedRegionError("no patch survived pasting")
-        part = PixelPartition(
-            ood_mask=scene.mask.copy(),
-            id_mask=~scene.mask,
-            ignored_mask=np.zeros_like(scene.mask),
-            eta=float(score[scene.mask].min()),
-        )
-    else:
-        part = refine_partition(
-            score,
-            scene.mask,
-            mode=cfg.refine_mode,
-            region_ids=scene.region_ids,
-            per_region=cfg.per_region,
-        )
+    part = refine_partition(
+        score,
+        scene.mask,
+        mode=cfg.refine_mode,
+        region_ids=scene.region_ids,
+        per_region=cfg.per_region,
+    )
     return feats, jem, part
 
 
@@ -187,6 +176,9 @@ def train(
                 _prepare_example(train_images, frozen, head, cfg, it, s)
                 for s in range(cfg.batch_size)
             ]
+            parts = [part for _, _, part in prepared]
+            # abort before the train-mode forwards touch the BN running statistics
+            n_ood, _ = pooled_set_sizes(parts)
             items = []
             caches = []
             for feats, jem, part in prepared:
@@ -207,13 +199,12 @@ def train(
             log.aborted += 1
             continue
         ms = (time.perf_counter() - tic) * 1000.0
-        parts = [part for _, _, part in prepared]
         log.records.append(
             LogRecord(
                 iteration=it,
                 l_a=float(l_a),
                 l_o=float(l_o),
-                n_ood=sum(int(p.ood_mask.sum()) for p in parts),
+                n_ood=n_ood,
                 n_ignored=sum(int(p.ignored_mask.sum()) for p in parts),
                 eta=float(np.mean([p.eta for p in parts])),
                 ms=ms,

@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from oodseg.cli import ConfigError, DEFAULT_CONFIG, SECTIONS, _section, load_config, main
 from oodseg.estimators import load_score_map
-from oodseg.tensorio import read_pgm
+from oodseg.tensorio import read_pgm, read_tensor, write_tensor
 
 TINY = [
     "--set", "scene.height=32",
@@ -314,6 +315,34 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: (d / "head.txt").write_text(
+                "".join(l for l in (d / "head.txt").read_text().splitlines(True) if not l.startswith("hidden="))
+            ),
+            lambda d: (d / "head.txt").write_text(
+                (d / "head.txt").read_text().replace("use_batchnorm=1", "use_batchnorm=yes")
+            ),
+            lambda d: write_tensor(d / "out_w.tnsr", read_tensor(d / "out_w.tnsr").reshape(-1, 2)),
+        ],
+        ids=["no_hidden", "bad_bool", "out_w_shape"],
+    )
+    def test_corrupt_head_is_3(self, pipeline, tmp_path, corrupt):
+        head = tmp_path / "head"
+        shutil.copytree(pipeline / "run" / "head", head)
+        corrupt(head)
+        rc = main(
+            [
+                "eval",
+                "--head", str(head),
+                "--frozen", str(pipeline / "frozen"),
+                "--data", str(pipeline / "data"),
+                "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert rc == 3
+
     def test_degenerate_training_is_4(self, pipeline, tmp_path):
         # full-size square patches cover every pixel, leaving no ID set
         rc = main(
@@ -340,12 +369,28 @@ class TestExitCodes:
             ["sweep", "--param", "patches", "--values", "abc"],
             ["sweep", "--param", "gamma", "--values", "nan"],
             ["train", "--set", "train.lr=nan", "--data", "d", "--frozen", "f"],
+            ["eval", "--lam", "nan", "--frozen", "f", "--data", "d"],
+            ["score", "--lam", "inf", "--frozen", "f", "--image", "i.ppm"],
         ],
-        ids=["train_scenes", "eval_scenes", "feature_dim", "fit_scenes", "sweep_abc", "sweep_nan", "train_nan"],
+        ids=[
+            "train_scenes",
+            "eval_scenes",
+            "feature_dim",
+            "fit_scenes",
+            "sweep_abc",
+            "sweep_nan",
+            "train_nan",
+            "eval_lam_nan",
+            "score_lam_inf",
+        ],
     )
     def test_bad_value_is_2(self, tmp_path, argv):
-        # TINY first, so that a value wrongly accepted costs a tiny run, not a desk-size one
-        assert main([argv[0], *TINY, *argv[1:], "--out", str(tmp_path / "o")]) == 2
+        # TINY first, so that a value wrongly accepted costs a tiny run, not a desk-size one;
+        # eval and score take no config.  Their missing inputs would exit 3 if read.
+        tiny = [] if argv[0] in ("eval", "score") else TINY
+        assert main([argv[0], *tiny, *argv[1:], "--out", str(tmp_path / "o")]) == 2
+        if argv[0] in ("eval", "score"):
+            assert not (tmp_path / "o").exists()
 
 
 class TestGrids:
@@ -368,6 +413,15 @@ class TestGrids:
         assert lines[4].split(",")[2:] == lines[6].split(",")[2:]
         assert (out / "data" / "manifest.json").exists()
         assert (out / "frozen" / "digest.txt").exists()
+
+    def test_ablate_rebuilds_world_from_config(self, tmp_path):
+        # a second ablate into the same --out must not reuse the seed-0 world
+        args = ["ablate", *TINY, "--set", "train.iterations=2", "--set", "data.seed=7"]
+        assert main(["ablate", *TINY, "--set", "train.iterations=2", "--out", str(tmp_path / "a")]) == 0
+        assert main([*args, "--out", str(tmp_path / "a")]) == 0
+        assert main([*args, "--out", str(tmp_path / "fresh")]) == 0
+        for rel in ("ablate.csv", "data/train/scene_0000.ppm", "data/eval/scene_0000.ppm"):
+            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "fresh" / rel).read_bytes(), rel
 
     def test_sweep(self, tmp_path):
         out = tmp_path / "sweep"

@@ -13,59 +13,63 @@ from oodseg.estimators import (
     HEAD_SCORERS,
     SCORERS,
     all_score_maps,
-    baseline_scores,
     combined_map,
-    combined_score,
     entropy_map,
     jem_map,
-    jem_score,
     load_score_map,
     max_logit_map,
     msp_map,
     save_score_map,
     score_map,
-    tae_log_prob,
     tae_log_prob_map,
-    tore_log_prob_residual,
     tore_residual_map,
 )
 from oodseg.head import HeadConfig, head_init
 
 
+def px(values):
+    """One pixel's logits as a [K, 1, 1] map."""
+    return np.asarray(values, dtype=np.float64).reshape(-1, 1, 1)
+
+
+def at(score_map_values) -> float:
+    return float(score_map_values[0, 0])
+
+
 class TestFrozenValues:
     def test_jem_small(self):
         expected = -math.log(math.e + math.e**2 + math.e**3)
-        assert jem_score([1.0, 2.0, 3.0]) == pytest.approx(expected, abs=1e-14)
-        assert jem_score([1.0, 2.0, 3.0]) == pytest.approx(-3.4076059644443806, abs=1e-14)
+        assert at(jem_map(px([1.0, 2.0, 3.0]))) == pytest.approx(expected, abs=1e-14)
+        assert at(jem_map(px([1.0, 2.0, 3.0]))) == pytest.approx(-3.4076059644443806, abs=1e-14)
 
     def test_tae_both_channels(self):
-        assert tae_log_prob([1.0, 3.0], 1) == pytest.approx(-0.1269280110429727, abs=1e-15)
-        assert tae_log_prob([1.0, 3.0], 0) == pytest.approx(-2.1269280110429727, abs=1e-15)
+        assert at(tae_log_prob_map(px([1.0, 3.0]), 1)) == pytest.approx(-0.1269280110429727, abs=1e-15)
+        assert at(tae_log_prob_map(px([1.0, 3.0]), 0)) == pytest.approx(-2.1269280110429727, abs=1e-15)
         # the two channel log-probs always exponentiate to 1
-        p0 = math.exp(tae_log_prob([1.0, 3.0], 0))
-        p1 = math.exp(tae_log_prob([1.0, 3.0], 1))
+        p0 = math.exp(at(tae_log_prob_map(px([1.0, 3.0]), 0)))
+        p1 = math.exp(at(tae_log_prob_map(px([1.0, 3.0]), 1)))
         assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
 
     def test_tore_is_head1_plus_jem(self):
-        v = tore_log_prob_residual([1.0, 3.0], [1.0, 2.0, 3.0])
-        assert v == pytest.approx(3.0 + jem_score([1.0, 2.0, 3.0]), abs=1e-15)
+        v = at(tore_residual_map(px([1.0, 3.0]), px([1.0, 2.0, 3.0])))
+        assert v == pytest.approx(3.0 + at(jem_map(px([1.0, 2.0, 3.0]))), abs=1e-15)
         assert v == pytest.approx(-0.4076059644443806, abs=1e-14)
 
     def test_combined_weighting(self):
-        v = combined_score([1.0, 3.0], [1.0, 2.0, 3.0], lam=0.5)
+        v = at(combined_map(px([1.0, 3.0]), px([1.0, 2.0, 3.0]), lam=0.5))
         assert v == pytest.approx(-0.330730993265163, abs=1e-14)
         # all-zero logits collapse to -1.5 log 2
-        assert combined_score([0.0, 0.0], [0.0, 0.0], 0.5) == pytest.approx(
+        assert at(combined_map(px([0.0, 0.0]), px([0.0, 0.0]), 0.5)) == pytest.approx(
             -1.5 * math.log(2.0), abs=1e-15
         )
 
     def test_baselines(self):
-        b = baseline_scores([1.0, 2.0])
-        assert b["msp"] == pytest.approx(-1.0 / (1.0 + math.exp(-1.0)), abs=1e-15)
-        assert b["max_logit"] == -2.0
-        u = baseline_scores([0.0, 0.0, 0.0, 0.0])
-        assert u["entropy"] == pytest.approx(math.log(4.0), abs=1e-15)
-        assert u["msp"] == -0.25
+        b = px([1.0, 2.0])
+        assert at(msp_map(b)) == pytest.approx(-1.0 / (1.0 + math.exp(-1.0)), abs=1e-15)
+        assert at(max_logit_map(b)) == -2.0
+        u = px([0.0, 0.0, 0.0, 0.0])
+        assert at(entropy_map(u)) == pytest.approx(math.log(4.0), abs=1e-15)
+        assert at(msp_map(u)) == -0.25
 
 
 class TestInvariants:
@@ -76,13 +80,13 @@ class TestInvariants:
             k = int(rng.integers(2, 8))
             logits = rng.standard_normal(k) * 10.0
             c = float(rng.standard_normal() * 50.0)
-            assert jem_score(logits + c) == pytest.approx(jem_score(logits) - c, abs=1e-9)
+            assert at(jem_map(px(logits + c))) == pytest.approx(at(jem_map(px(logits))) - c, abs=1e-9)
 
     def test_jem_overflow_safe(self):
-        assert np.isfinite(jem_score([700.0, 700.0]))
-        assert np.isfinite(jem_score([-700.0, -700.0]))
-        assert jem_score([700.0, 0.0]) == pytest.approx(-700.0, abs=1e-9)
-        assert jem_score([-700.0, -700.0]) == pytest.approx(700.0 - math.log(2.0), abs=1e-9)
+        assert np.isfinite(at(jem_map(px([700.0, 700.0]))))
+        assert np.isfinite(at(jem_map(px([-700.0, -700.0]))))
+        assert at(jem_map(px([700.0, 0.0]))) == pytest.approx(-700.0, abs=1e-9)
+        assert at(jem_map(px([-700.0, -700.0]))) == pytest.approx(700.0 - math.log(2.0), abs=1e-9)
 
     def test_msp_entropy_ranges(self):
         rng = np.random.default_rng(3)
@@ -93,23 +97,6 @@ class TestInvariants:
             assert np.all(msp <= -1.0 / 5.0 + 1e-12) and np.all(msp >= -1.0)
             assert np.all(ent >= 0.0) and np.all(ent <= math.log(5.0) + 1e-12)
 
-    def test_scalar_matches_map(self):
-        rng = np.random.default_rng(8)
-        seg = rng.standard_normal((6, 3, 5))
-        hd = rng.standard_normal((2, 3, 5))
-        jm = jem_map(seg)
-        tm = tae_log_prob_map(hd, 1)
-        om = tore_residual_map(hd, seg)
-        cm = combined_map(hd, seg, 0.7)
-        for i in range(3):
-            for j in range(5):
-                assert jem_score(seg[:, i, j]) == jm[i, j]
-                assert tae_log_prob(hd[:, i, j], 1) == tm[i, j]
-                assert tore_log_prob_residual(hd[:, i, j], seg[:, i, j]) == om[i, j]
-                assert combined_score(hd[:, i, j], seg[:, i, j], 0.7) == pytest.approx(
-                    cm[i, j], abs=1e-12
-                )
-
     def test_max_logit(self):
         seg = np.array([[[1.0]], [[5.0]], [[-2.0]]])
         assert max_logit_map(seg)[0, 0] == -5.0
@@ -118,7 +105,7 @@ class TestInvariants:
 class TestValidation:
     def test_tae_channel_checked(self):
         with pytest.raises(ValueError):
-            tae_log_prob([1.0, 2.0], 2)
+            tae_log_prob_map(px([1.0, 2.0]), 2)
 
     def test_head_logits_need_two_channels(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ import pytest
 from oodseg.head import (
     HeadConfig,
     HeadShapeError,
-    expected_n_parameters,
     head_backward,
     head_forward,
     head_init,
@@ -22,6 +21,7 @@ from oodseg.head import (
     read_head_manifest,
     save_head,
 )
+from oodseg.tensorio import ArtifactError, read_tensor, write_tensor
 
 FD_EPS = 1e-5
 KINK_CLEARANCE = 2e-3
@@ -88,13 +88,20 @@ class TestConfig:
             HeadConfig(feature_dim=16, use_batchnorm=False),
             HeadConfig(feature_dim=7, blocks=2, hidden=5, kernel_size=3),
         ):
+            # conv w + b per block, plus gamma, beta, running mean and var with BN
+            n, c_in = 0, cfg.feature_dim
+            for _ in range(cfg.blocks):
+                n += cfg.hidden * c_in * cfg.kernel_size**2 + cfg.hidden
+                n += 4 * cfg.hidden if cfg.use_batchnorm else 0
+                c_in = cfg.hidden
+            n += 2 * cfg.hidden + 2
             params = head_init(cfg, seed=0)
-            assert params.n_parameters() == expected_n_parameters(cfg)
+            assert params.n_parameters() == n
 
     def test_default_desk_head_size(self):
         # 3 blocks of 32 channels over 16 features, 1x1 kernels:
         # (16*32+32 + 4*32) + 2*(32*32+32 + 4*32) + (2*32+2) = 3106
-        assert expected_n_parameters(HeadConfig(feature_dim=16)) == 3106
+        assert head_init(HeadConfig(feature_dim=16), seed=0).n_parameters() == 3106
 
 
 class TestInit:
@@ -304,6 +311,10 @@ class TestPersistence:
             np.testing.assert_array_equal(ba.run_var, bb.run_var)
         manifest = read_head_manifest(tmp_path / "ckpt")
         assert manifest["note"] == "hello"
+        assert (tmp_path / "ckpt" / "head.txt").read_text() == (
+            "feature_dim=5\nblocks=2\nhidden=4\nkernel_size=3\nuse_batchnorm=1\n"
+            "bn_momentum=0.9\nbn_epsilon=1e-05\nnote=hello\n"
+        )
 
     def test_no_batchnorm_round_trip(self, tmp_path):
         cfg = HeadConfig(feature_dim=3, use_batchnorm=False)
@@ -318,4 +329,28 @@ class TestPersistence:
         save_head(params, tmp_path / "ckpt")
         (tmp_path / "ckpt" / "block1_w.tnsr").unlink()
         with pytest.raises(Exception):
+            load_head(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("hidden=32\n", ""),
+            lambda text: text.replace("use_batchnorm=1", "use_batchnorm=yes"),
+            lambda text: text.replace("blocks=3", "blocks=0"),
+        ],
+        ids=["missing_key", "bad_bool", "invalid_value"],
+    )
+    def test_malformed_manifest_is_artifact_error(self, tmp_path, edit):
+        save_head(head_init(HeadConfig(feature_dim=4), seed=0), tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "head.txt"
+        manifest.write_text(edit(manifest.read_text()))
+        with pytest.raises(ArtifactError):
+            load_head(tmp_path / "ckpt")
+
+    def test_tensor_shape_mismatch_is_artifact_error(self, tmp_path):
+        # same element count as the [2, 32] original, so only a shape check sees it
+        save_head(head_init(HeadConfig(feature_dim=4), seed=0), tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "out_w.tnsr"
+        write_tensor(path, read_tensor(path).reshape(32, 2))
+        with pytest.raises(ArtifactError):
             load_head(tmp_path / "ckpt")

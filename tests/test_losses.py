@@ -13,13 +13,10 @@ import pytest
 from oodseg.estimators import jem_map
 from oodseg.losses import (
     DegeneratePartitionError,
-    LossValue,
     batch_loss_tae,
     batch_loss_tore,
     batch_total_loss,
-    loss_tae,
-    loss_tore,
-    total_loss,
+    pooled_set_sizes,
 )
 from oodseg.refine import PixelPartition
 
@@ -55,7 +52,7 @@ class TestFrozenValues:
         # 1 anomaly + 1 normal pixel, all-zero logits: two -log(1/2) terms
         logits = np.zeros((2, 1, 2))
         part = make_partition([[True, False]])
-        value, grad = loss_tae(logits, part)
+        value, (grad,) = batch_loss_tae([(logits, None, part)])
         assert value == pytest.approx(2.0 * math.log(2.0), abs=1e-15)
         np.testing.assert_allclose(grad[:, 0, 0], [0.5, -0.5], atol=1e-15)
         np.testing.assert_allclose(grad[:, 0, 1], [-0.5, 0.5], atol=1e-15)
@@ -63,14 +60,14 @@ class TestFrozenValues:
     def test_tae_ignored_pixels_get_zero_grad(self):
         rng = np.random.default_rng(0)
         logits, jem, part = random_item(rng)
-        value, grad = loss_tae(logits, part)
+        value, (grad,) = batch_loss_tae([(logits, jem, part)])
         assert np.all(grad[:, part.ignored_mask] == 0.0)
 
     def test_tore_active_hinge(self):
         # zero logits and constant jem: arg = gamma, gradient is the set-size split
         logits = np.zeros((2, 2, 2))
         part = make_partition([[True, False], [False, False]])
-        value, grad = loss_tore(logits, np.zeros((3, 2, 2)), part, gamma=5.0)
+        value, (grad,) = batch_loss_tore([(logits, jem_map(np.zeros((3, 2, 2))), part)], gamma=5.0)
         assert value == pytest.approx(5.0, abs=1e-12)
         assert grad[1][part.ood_mask][0] == pytest.approx(-1.0, abs=1e-15)
         np.testing.assert_allclose(grad[1][part.id_mask], 1.0 / 3.0, atol=1e-15)
@@ -80,7 +77,7 @@ class TestFrozenValues:
         logits = np.zeros((2, 1, 2))
         logits[1, 0, 0] = 100.0  # anomaly side residual dominates
         part = make_partition([[True, False]])
-        value, grad = loss_tore(logits, np.zeros((3, 1, 2)), part, gamma=5.0)
+        value, (grad,) = batch_loss_tore([(logits, jem_map(np.zeros((3, 1, 2))), part)], gamma=5.0)
         assert value == 0.0
         assert np.all(grad == 0.0)
 
@@ -89,7 +86,7 @@ class TestFrozenValues:
         logits = np.zeros((2, 1, 2))
         logits[1, 0, 0] = 4.0  # ood pixel
         part = make_partition([[True, False]])
-        value, grad = loss_tore(logits, None, part, gamma=4.0)
+        value, (grad,) = batch_loss_tore([(logits, np.zeros((1, 2)), part)], gamma=4.0)
         assert value == 0.0
         assert np.all(grad == 0.0)
 
@@ -113,7 +110,7 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(21)
         for _ in range(5):
             logits, jem, part = random_item(rng)
-            _, grad = loss_tae(logits, part)
+            _, (grad,) = batch_loss_tae([(logits, jem, part)])
             fd = self.fd_grad(lambda: batch_loss_tae([(logits, jem, part)])[0], logits)
             np.testing.assert_allclose(grad, fd, atol=1e-8)
 
@@ -179,40 +176,26 @@ class TestBatchPooling:
         id_terms = np.concatenate([l[0][p.id_mask] for l, p in lp])
         assert v == pytest.approx(-ood_terms.mean() - id_terms.mean(), abs=1e-12)
 
-    def test_single_image_wrapper_matches_batch(self):
-        rng = np.random.default_rng(42)
-        logits, _, part = random_item(rng)
-        seg = rng.standard_normal((4, 3, 4))
-        lv = total_loss(logits, seg, part, gamma=3.0)
-        assert isinstance(lv, LossValue)
-        item = (logits, jem_map(seg), part)
-        total, l_a, l_o, grads = batch_total_loss([item], gamma=3.0)
-        assert lv.total == total
-        assert lv.l_a == l_a and lv.l_o == l_o
-        np.testing.assert_array_equal(lv.grad, grads[0])
-
 
 class TestValidation:
     def test_empty_sets_rejected(self):
         logits = np.zeros((2, 2, 2))
+        jem = np.zeros((2, 2))
         all_ood = make_partition(np.ones((2, 2), dtype=bool))
         with pytest.raises(DegeneratePartitionError):
-            loss_tae(logits, all_ood)
+            batch_loss_tae([(logits, jem, all_ood)])
         none_ood = make_partition(np.zeros((2, 2), dtype=bool))
         with pytest.raises(DegeneratePartitionError):
-            loss_tae(logits, none_ood)
+            batch_loss_tae([(logits, jem, none_ood)])
         with pytest.raises(DegeneratePartitionError):
-            loss_tore(logits, np.zeros((3, 2, 2)), none_ood, gamma=1.0)
+            batch_loss_tore([(logits, jem, none_ood)], gamma=1.0)
+        with pytest.raises(DegeneratePartitionError):
+            pooled_set_sizes([all_ood, all_ood])
+        # pooled: one image's empty set is filled by another's
+        assert pooled_set_sizes([all_ood, none_ood]) == (4, 4)
 
     def test_bad_margin_mode(self):
         logits = np.zeros((2, 1, 2))
         part = make_partition([[True, False]])
         with pytest.raises(ValueError):
-            loss_tore(logits, np.zeros((3, 1, 2)), part, gamma=1.0, margin="other")
-
-    def test_shape_checks(self):
-        part = make_partition([[True, False]])
-        with pytest.raises(ValueError):
-            loss_tae(np.zeros((3, 1, 2)), part)  # 3 channels
-        with pytest.raises(ValueError):
-            loss_tae(np.zeros((2, 2, 2)), part)  # spatial mismatch
+            batch_loss_tore([(logits, np.zeros((1, 2)), part)], gamma=1.0, margin="other")

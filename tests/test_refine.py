@@ -165,7 +165,35 @@ class TestRefinePartition:
         pooled = refine_partition(scores, pasted)
         assert pooled.ood_mask[1, 0:4].all() and not pooled.ood_mask[0, 0:4].any()
 
+    def test_mode_none_keeps_whole_pasted_region(self):
+        scores = np.zeros((4, 4))
+        pasted = np.zeros((4, 4), dtype=bool)
+        pasted[1:3, 1:3] = True
+        scores[1, 1:3] = 10.0
+        scores[2, 1:3] = [-1.0, 3.0]
+        part = refine_partition(scores, pasted, mode="none")
+        np.testing.assert_array_equal(part.ood_mask, pasted)
+        np.testing.assert_array_equal(part.id_mask, ~pasted)
+        assert not part.ignored_mask.any()
+        assert part.eta == -1.0  # lowest pasted score
+        assert part.eta_by_region is None
+        assert part.ood_mask is not pasted  # a copy, not the caller's mask
+
+    def test_mode_none_ignores_per_region(self):
+        scores = np.arange(8.0).reshape(2, 4)
+        pasted = np.ones((2, 4), dtype=bool)
+        pasted[1, 3] = False
+        ids = np.where(np.arange(8).reshape(2, 4) < 4, 1, 2)
+        part = refine_partition(scores, pasted, mode="none", region_ids=ids, per_region=True)
+        np.testing.assert_array_equal(part.ood_mask, pasted)
+        assert part.eta == 0.0
+        assert part.eta_by_region is None
+
     def test_errors(self):
+        with pytest.raises(EmptyPastedRegionError):
+            refine_partition(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool), mode="none")
+        with pytest.raises(ValueError):
+            search_threshold([1.0, 2.0], mode="none")  # "none" has no search
         with pytest.raises(EmptyPastedRegionError):
             refine_partition(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError):

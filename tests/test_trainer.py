@@ -5,6 +5,7 @@ import pytest
 
 from oodseg.estimators import SCORERS
 from oodseg.head import HeadConfig, head_init, load_head
+from oodseg.patches import PatchConfig
 from oodseg.synthworld import (
     SceneSpec,
     fit_frozen_decoder,
@@ -178,6 +179,28 @@ class TestTrain:
         )
         assert log.aborted > 0
         assert len(log.records) == 8 - log.aborted
+
+    def test_aborted_iterations_leave_head_untouched(self, frozen, images):
+        # full-size square patches cover every pixel: no ID set, every iteration aborts
+        full = PatchConfig(crop_min_div=1, crop_max_div=1, policy="square")
+        cfg = tiny_cfg(iterations=3, warmup_iters=0, max_abort_frac=1.0, patch=full)
+        head, log = train(images, frozen, cfg, head_config=HEAD_CFG)
+        assert log.aborted == 3 and not log.records
+        init = head_init(HEAD_CFG, seed=0)
+        for blk, blk0 in zip(head.blocks, init.blocks):
+            np.testing.assert_array_equal(blk.run_mean, blk0.run_mean)
+            np.testing.assert_array_equal(blk.run_var, blk0.run_var)
+        for (name, arr), (_, arr0) in zip(head.trainable(), init.trainable()):
+            np.testing.assert_array_equal(arr, arr0, err_msg=name)
+
+    @pytest.mark.parametrize("per_region", [False, True])
+    def test_refine_mode_none_keeps_every_pasted_pixel(self, frozen, images, per_region):
+        cfg = tiny_cfg(refine_mode="none", per_region=per_region)
+        _, log = train(images, frozen, cfg, head_config=HEAD_CFG)
+        assert log.aborted == 0 and len(log.records) == 6
+        for rec in log.records:
+            assert rec.n_ood > 0 and rec.n_ignored == 0
+            assert np.isfinite(rec.eta)  # the pooled minimum, also with per_region
 
 
 class TestEvaluate:
