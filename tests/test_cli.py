@@ -265,6 +265,12 @@ class TestPipeline:
         assert [l.split(",")[0] for l in lines[1:]] == ["jem", "msp", "entropy", "max_logit"]
 
 
+def _edit_manifest(head_dir, old, new):
+    text = (head_dir / "head.txt").read_text()
+    assert old in text
+    (head_dir / "head.txt").write_text(text.replace(old, new))
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         assert main(["gen-data", "--set", "nosuch.key=1", "--out", str(tmp_path / "d")]) == 2
@@ -318,12 +324,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda d: (d / "head.txt").write_text(
-                "".join(l for l in (d / "head.txt").read_text().splitlines(True) if not l.startswith("hidden="))
-            ),
-            lambda d: (d / "head.txt").write_text(
-                (d / "head.txt").read_text().replace("use_batchnorm=1", "use_batchnorm=yes")
-            ),
+            lambda d: _edit_manifest(d, "hidden=8\n", ""),  # TINY's head.hidden
+            lambda d: _edit_manifest(d, "use_batchnorm=1", "use_batchnorm=yes"),
+            # [8, 2] holds as many values as [2, 8], so only a shape check sees it
             lambda d: write_tensor(d / "out_w.tnsr", read_tensor(d / "out_w.tnsr").reshape(-1, 2)),
         ],
         ids=["no_hidden", "bad_bool", "out_w_shape"],
