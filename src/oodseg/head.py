@@ -13,8 +13,11 @@ features (training) in float32.  Parameters, running statistics and
 gradients are always float64.
 
 Batch statistics are taken over the spatial positions of the single
-[D, H, W] feature map being processed; train-mode forwards update the
-running statistics in place, eval-mode forwards are pure.
+[D, H, W] feature map being processed.  Both forward modes are pure: a
+train-mode forward returns its batch statistics in the cache, and
+``commit_batch_stats`` folds them into the running statistics later, so
+a caller can drop a forward (an aborted training iteration) without
+moving any state.
 """
 
 from __future__ import annotations
@@ -165,6 +168,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _BlockCache:
     x_in: np.ndarray               # [C_in, H, W] block input
     z: np.ndarray                  # [C, H*W] conv output, centred per channel under batchnorm
+    mean: np.ndarray | None        # [C] batch mean of the conv output, batchnorm only
+    var: np.ndarray | None         # [C] batch variance of the conv output, batchnorm only
     inv_std: np.ndarray | None     # [C] batchnorm only
     scale: np.ndarray | None       # [C] gamma * inv_std, batchnorm only
     shift: np.ndarray | None       # [C] beta, batchnorm only
@@ -186,10 +191,11 @@ class HeadCache:
 def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval"):
     """Run the head over [D, H, W] features; returns (logits [2, H, W], cache).
 
-    Train mode normalizes with this map's own spatial statistics, updates
-    running statistics in place, and returns the cache needed by
-    ``head_backward``.  Eval mode uses running statistics and returns None
-    for the cache.
+    Train mode normalizes with this map's own spatial statistics and
+    returns the cache needed by ``head_backward``, which also carries those
+    statistics for ``commit_batch_stats``; the running statistics are left
+    untouched.  Eval mode uses running statistics and returns None for the
+    cache.
 
     Logits come back in the precision of the computation (see the module
     docstring).
@@ -220,23 +226,23 @@ def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval"):
         if blk.gamma is None:
             z += blk.b.astype(dtype)[:, None]
             a = np.maximum(z, 0.0)
-            inv_std = scale = shift = None
+            mean = var = inv_std = scale = shift = None
         else:
             # the conv bias only shifts the batch mean, which is subtracted
             n = z.shape[1]
             mean = _row_sums(z) / n
             z -= mean.astype(dtype)[:, None]
             var = _row_dots(z, z) / n
-            m = cfg.bn_momentum
-            blk.run_mean[:] = m * blk.run_mean + (1.0 - m) * (mean + blk.b)
-            blk.run_var[:] = m * blk.run_var + (1.0 - m) * var
+            mean = mean + blk.b
             inv_std = 1.0 / np.sqrt(var + cfg.bn_epsilon)
             scale, shift = blk.gamma * inv_std, blk.beta.copy()
             a = z * scale.astype(dtype)[:, None]
             a += shift.astype(dtype)[:, None]
             np.maximum(a, 0.0, out=a)
         if train:
-            caches.append(_BlockCache(x_in=x, z=z, inv_std=inv_std, scale=scale, shift=shift))
+            caches.append(
+                _BlockCache(x_in=x, z=z, mean=mean, var=var, inv_std=inv_std, scale=scale, shift=shift)
+            )
         x = a.reshape(-1, h, w)
     logits = params.out_w.astype(dtype) @ x.reshape(x.shape[0], -1)
     logits += params.out_b.astype(dtype)[:, None]
@@ -244,6 +250,20 @@ def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval"):
     if not train:
         return logits, None
     return logits, HeadCache(params=params, blocks=caches, a_last=x)
+
+
+def commit_batch_stats(params: HeadParams, caches: list[HeadCache]) -> None:
+    """Fold train-mode batch statistics into the running statistics, one
+    cache after another, by the momentum rule
+    ``run = momentum * run + (1 - momentum) * batch``."""
+    m = params.config.bn_momentum
+    for cache in caches:
+        if cache.params is not params:
+            raise ValueError("cache does not belong to these parameters")
+        for blk, bc in zip(params.blocks, cache.blocks):
+            if blk.run_mean is not None:
+                blk.run_mean[:] = m * blk.run_mean + (1.0 - m) * bc.mean
+                blk.run_var[:] = m * blk.run_var + (1.0 - m) * bc.var
 
 
 def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:

@@ -18,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import HEAD_SCORERS, SCORERS, all_score_maps, combined_map, jem_map
-from .head import HeadConfig, HeadParams, head_backward, head_forward, head_init, save_head
+from .head import (
+    HeadConfig,
+    HeadParams,
+    commit_batch_stats,
+    head_backward,
+    head_forward,
+    head_init,
+    save_head,
+)
 from .losses import MARGIN_MODES, DegeneratePartitionError, batch_total_loss, pooled_set_sizes
 from .metrics import EvalResult, evaluate_scores
 from .patches import PatchConfig, synth_pasted_scene
@@ -177,7 +185,6 @@ def train(
                 for s in range(cfg.batch_size)
             ]
             parts = [part for _, _, part in prepared]
-            # abort before the train-mode forwards touch the BN running statistics
             n_ood, _ = pooled_set_sizes(parts)
             items = []
             caches = []
@@ -194,6 +201,8 @@ def train(
                 else:
                     for name in total_grads:
                         total_grads[name] += g[name]
+            # past every abort point: only a completed iteration moves BN state
+            commit_batch_stats(head, caches)
             adam.step(head, total_grads, cfg)
         except (EmptyPastedRegionError, DegeneratePartitionError):
             log.aborted += 1

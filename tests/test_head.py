@@ -13,6 +13,7 @@ import pytest
 
 from oodseg.head import (
     HeadConfig,
+    commit_batch_stats,
     HeadShapeError,
     head_backward,
     head_forward,
@@ -170,7 +171,8 @@ class TestForward:
         w2 = params.blocks[0].w[:, :, 0, 0]
         z = np.tensordot(w2, x, axes=1) + params.blocks[0].b[:, None, None]
         mu, var = z.mean(axis=(1, 2)), z.var(axis=(1, 2))
-        head_forward(params, x, mode="train")
+        _, cache = head_forward(params, x, mode="train")
+        commit_batch_stats(params, [cache])
         np.testing.assert_allclose(params.blocks[0].run_mean, 0.1 * mu, atol=1e-10)
         np.testing.assert_allclose(params.blocks[0].run_var, 0.9 + 0.1 * var, atol=1e-10)
 
@@ -180,9 +182,39 @@ class TestForward:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 6, 6))
         before, _ = head_forward(params, x, mode="eval")
-        head_forward(params, rng.standard_normal((4, 6, 6)), mode="train")
+        _, cache = head_forward(params, rng.standard_normal((4, 6, 6)), mode="train")
+        commit_batch_stats(params, [cache])
         after, _ = head_forward(params, x, mode="eval")
         assert np.max(np.abs(after - before)) > 0.0  # stats moved
+
+    def test_train_mode_leaves_running_stats(self):
+        params = head_init(HeadConfig(feature_dim=4, blocks=2, hidden=3), seed=2)
+        x = np.random.default_rng(8).standard_normal((4, 5, 5))
+        head_forward(params, x, mode="train")
+        for blk, blk0 in zip(params.blocks, head_init(params.config, seed=2).blocks):
+            np.testing.assert_array_equal(blk.run_mean, blk0.run_mean)
+            np.testing.assert_array_equal(blk.run_var, blk0.run_var)
+
+    def test_commit_follows_cache_order_bit_for_bit(self):
+        # the in-place rule a train-mode forward once applied, slot after slot
+        params = head_init(HeadConfig(feature_dim=4, blocks=2, hidden=3, bn_momentum=0.8), seed=3)
+        rng = np.random.default_rng(9)
+        caches = [head_forward(params, rng.standard_normal((4, 5, 6)).astype(np.float32), mode="train")[1]
+                  for _ in range(4)]
+        expect = [(blk.run_mean.copy(), blk.run_var.copy()) for blk in params.blocks]
+        for cache in caches:
+            for (rm, rv), bc in zip(expect, cache.blocks):
+                rm[:] = 0.8 * rm + (1.0 - 0.8) * bc.mean
+                rv[:] = 0.8 * rv + (1.0 - 0.8) * bc.var
+        commit_batch_stats(params, caches)
+        for blk, (rm, rv) in zip(params.blocks, expect):
+            np.testing.assert_array_equal(blk.run_mean, rm)
+            np.testing.assert_array_equal(blk.run_var, rv)
+        # each cache moves the statistics differently, so the order is visible
+        for blk in params.blocks:
+            blk.run_mean[:], blk.run_var[:] = 0.0, 1.0
+        commit_batch_stats(params, caches[::-1])
+        assert not np.array_equal(params.blocks[0].run_mean, expect[0][0])
 
     def test_eval_mode_is_pure(self):
         params = head_init(HeadConfig(feature_dim=4), seed=2)
@@ -266,6 +298,8 @@ class TestBackward:
         p32 = copy.deepcopy(p64)
         l64, c64 = head_forward(p64, x, mode="train")
         l32, c32 = head_forward(p32, x.astype(np.float32), mode="train")
+        commit_batch_stats(p64, [c64])
+        commit_batch_stats(p32, [c32])
         assert l32.dtype == np.float32
         np.testing.assert_allclose(l32, l64, rtol=1e-4, atol=1e-4 * np.abs(l64).max())
         g = (l64 - tgt) / l64.size
@@ -299,7 +333,8 @@ class TestPersistence:
         cfg = HeadConfig(feature_dim=5, blocks=2, hidden=4, kernel_size=3)
         params = head_init(cfg, seed=9)
         rng = np.random.default_rng(10)
-        head_forward(params, rng.standard_normal((5, 6, 6)), mode="train")  # move stats
+        _, cache = head_forward(params, rng.standard_normal((5, 6, 6)), mode="train")
+        commit_batch_stats(params, [cache])  # move stats
         save_head(params, tmp_path / "ckpt", extra={"note": "hello"})
         back = load_head(tmp_path / "ckpt")
         assert back.config == cfg
