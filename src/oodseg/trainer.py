@@ -152,6 +152,44 @@ def _prepare_example(
     return feats, jem, part
 
 
+def _step(
+    images: list[np.ndarray],
+    frozen: FrozenModel,
+    head: HeadParams,
+    adam: AdamState,
+    cfg: TrainConfig,
+    iteration: int,
+) -> tuple[float, float, int, int, float]:
+    """One training iteration; returns (l_a, l_o, n_ood, n_ignored, eta).
+
+    Its own function so that the iteration's head caches die when it
+    returns, before the next iteration's forwards allocate theirs.
+    """
+    prepared = [_prepare_example(images, frozen, head, cfg, iteration, s) for s in range(cfg.batch_size)]
+    parts = [part for _, _, part in prepared]
+    n_ood, _ = pooled_set_sizes(parts)
+    items = []
+    caches = []
+    for feats, jem, part in prepared:
+        logits, cache = head_forward(head, feats, mode="train")
+        items.append((logits.astype(np.float64), jem, part))
+        caches.append(cache)
+    _, l_a, l_o, grads = batch_total_loss(items, cfg.gamma, cfg.w_a, cfg.w_o, cfg.margin)
+    total_grads: dict[str, np.ndarray] | None = None
+    for cache, g_logits in zip(caches, grads):
+        g = head_backward(head, cache, g_logits)
+        if total_grads is None:
+            total_grads = g
+        else:
+            for name in total_grads:
+                total_grads[name] += g[name]
+    # past every abort point: only a completed iteration moves BN state
+    commit_batch_stats(head, caches)
+    adam.step(head, total_grads, cfg)
+    n_ignored = sum(int(p.ignored_mask.sum()) for p in parts)
+    return float(l_a), float(l_o), n_ood, n_ignored, float(np.mean([p.eta for p in parts]))
+
+
 def train(
     train_images: list[np.ndarray],
     frozen: FrozenModel,
@@ -180,45 +218,11 @@ def train(
     for it in range(cfg.iterations):
         tic = time.perf_counter()
         try:
-            prepared = [
-                _prepare_example(train_images, frozen, head, cfg, it, s)
-                for s in range(cfg.batch_size)
-            ]
-            parts = [part for _, _, part in prepared]
-            n_ood, _ = pooled_set_sizes(parts)
-            items = []
-            caches = []
-            for feats, jem, part in prepared:
-                logits, cache = head_forward(head, feats, mode="train")
-                items.append((logits.astype(np.float64), jem, part))
-                caches.append(cache)
-            _, l_a, l_o, grads = batch_total_loss(items, cfg.gamma, cfg.w_a, cfg.w_o, cfg.margin)
-            total_grads: dict[str, np.ndarray] | None = None
-            for cache, g_logits in zip(caches, grads):
-                g = head_backward(head, cache, g_logits)
-                if total_grads is None:
-                    total_grads = g
-                else:
-                    for name in total_grads:
-                        total_grads[name] += g[name]
-            # past every abort point: only a completed iteration moves BN state
-            commit_batch_stats(head, caches)
-            adam.step(head, total_grads, cfg)
+            stats = _step(train_images, frozen, head, adam, cfg, it)
         except (EmptyPastedRegionError, DegeneratePartitionError):
             log.aborted += 1
             continue
-        ms = (time.perf_counter() - tic) * 1000.0
-        log.records.append(
-            LogRecord(
-                iteration=it,
-                l_a=float(l_a),
-                l_o=float(l_o),
-                n_ood=n_ood,
-                n_ignored=sum(int(p.ignored_mask.sum()) for p in parts),
-                eta=float(np.mean([p.eta for p in parts])),
-                ms=ms,
-            )
-        )
+        log.records.append(LogRecord(it, *stats, ms=(time.perf_counter() - tic) * 1000.0))
         if checkpoint_dir is not None and checkpoint_every > 0 and (it + 1) % checkpoint_every == 0:
             save_head(head, Path(checkpoint_dir) / f"iter_{it + 1:06d}")
     if log.aborted > cfg.max_abort_frac * cfg.iterations:
