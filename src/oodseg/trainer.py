@@ -1,9 +1,12 @@
 """Self-supervised training loop and evaluation for the anomaly head.
 
-Each iteration builds a batch of pasted scenes, scores them with the
-current estimators (free energy alone during warmup, the combined score
-afterwards), refines the pasted regions into anomaly/ignored sets, and
-takes one Adam step on the pooled loss.  Everything upstream of the head
+Each iteration builds a batch of pasted scenes and runs one train-mode
+head forward per scene.  It scores the pasted pixels (free energy alone
+during warmup, afterwards the combined score of that forward's detached
+logits, which use the scene's own BN batch statistics), refines the
+pasted regions into anomaly/ignored sets, and takes one Adam step on the
+pooled loss.  The BN running statistics move only once an iteration has
+passed every abort point.  Everything upstream of the head
 is frozen; a digest over the frozen model guards against accidental
 updates.  All randomness flows from per-(iteration, slot) streams derived
 from the master seed, so runs are reproducible.
@@ -125,9 +128,14 @@ def _prepare_example(
     iteration: int,
     slot: int,
 ):
-    """Steps shared per batch slot: paste, encode, score, partition.
+    """Steps per batch slot: paste, encode, train-mode forward, score, partition.
 
-    Pure with respect to the head (eval-mode forward).
+    The slot's one head forward runs before refinement.  After warmup its
+    detached logits score the pasted pixels, so refinement sees the slot's
+    own BN batch statistics rather than the running statistics; warmup
+    scores with the free energy alone.  The head is not changed: the
+    returned cache carries the batch statistics for ``commit_batch_stats``.
+    Returns ((logits, jem, partition), cache).
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(iteration, slot)))
     t_idx = int(rng.integers(len(images)))
@@ -136,12 +144,9 @@ def _prepare_example(
     feats = frozen_encoder(frozen, scene.image)
     seg = seg_logits_map(frozen, feats)
     jem = jem_map(seg)
-    feats = feats.astype(np.float32)  # the head trains in float32
-    if iteration < cfg.warmup_iters:
-        score = jem
-    else:
-        logits, _ = head_forward(head, feats, mode="eval")
-        score = combined_map(logits, seg, cfg.lam)
+    logits, cache = head_forward(head, feats.astype(np.float32), mode="train")  # the head trains in float32
+    logits = logits.astype(np.float64)
+    score = jem if iteration < cfg.warmup_iters else combined_map(logits, seg, cfg.lam)
     part = refine_partition(
         score,
         scene.mask,
@@ -149,7 +154,7 @@ def _prepare_example(
         region_ids=scene.region_ids,
         per_region=cfg.per_region,
     )
-    return feats, jem, part
+    return (logits, jem, part), cache
 
 
 def _step(
@@ -165,16 +170,12 @@ def _step(
     Its own function so that the iteration's head caches die when it
     returns, before the next iteration's forwards allocate theirs.
     """
-    prepared = [_prepare_example(images, frozen, head, cfg, iteration, s) for s in range(cfg.batch_size)]
-    parts = [part for _, _, part in prepared]
+    examples = [_prepare_example(images, frozen, head, cfg, iteration, s) for s in range(cfg.batch_size)]
+    items = [item for item, _ in examples]
+    parts = [part for _, _, part in items]
     n_ood, _ = pooled_set_sizes(parts)
-    items = []
-    caches = []
-    for feats, jem, part in prepared:
-        logits, cache = head_forward(head, feats, mode="train")
-        items.append((logits.astype(np.float64), jem, part))
-        caches.append(cache)
     _, l_a, l_o, grads = batch_total_loss(items, cfg.gamma, cfg.w_a, cfg.w_o, cfg.margin)
+    caches = [cache for _, cache in examples]
     total_grads: dict[str, np.ndarray] | None = None
     for cache, g_logits in zip(caches, grads):
         g = head_backward(head, cache, g_logits)

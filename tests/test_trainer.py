@@ -181,17 +181,23 @@ class TestTrain:
         assert len(log.records) == 8 - log.aborted
 
     def test_aborted_iterations_leave_head_untouched(self, frozen, images):
-        # full-size square patches cover every pixel: no ID set, every iteration aborts
+        # full-size square patches cover every pixel: no ID set, so the
+        # pooled-set check aborts every iteration
         full = PatchConfig(crop_min_div=1, crop_max_div=1, policy="square")
-        cfg = tiny_cfg(iterations=3, warmup_iters=0, max_abort_frac=1.0, patch=full)
-        head, log = train(images, frozen, cfg, head_config=HEAD_CFG)
-        assert log.aborted == 3 and not log.records
+        runs = [(images, tiny_cfg(iterations=3, warmup_iters=0, max_abort_frac=1.0, patch=full))]
+        # a giant donor's crops never fit the small target, so its pasted
+        # region is empty: refinement aborts after the slot's train-mode forward
+        big = np.zeros((600, 600, 3), dtype=np.uint8)
+        runs.append(([images[0], big], tiny_cfg(iterations=3, batch_size=4, warmup_iters=0, max_abort_frac=1.0)))
         init = head_init(HEAD_CFG, seed=0)
-        for blk, blk0 in zip(head.blocks, init.blocks):
-            np.testing.assert_array_equal(blk.run_mean, blk0.run_mean)
-            np.testing.assert_array_equal(blk.run_var, blk0.run_var)
-        for (name, arr), (_, arr0) in zip(head.trainable(), init.trainable()):
-            np.testing.assert_array_equal(arr, arr0, err_msg=name)
+        for train_images, cfg in runs:
+            head, log = train(train_images, frozen, cfg, head_config=HEAD_CFG)
+            assert log.aborted == 3 and not log.records
+            for blk, blk0 in zip(head.blocks, init.blocks):
+                np.testing.assert_array_equal(blk.run_mean, blk0.run_mean)
+                np.testing.assert_array_equal(blk.run_var, blk0.run_var)
+            for (name, arr), (_, arr0) in zip(head.trainable(), init.trainable()):
+                np.testing.assert_array_equal(arr, arr0, err_msg=name)
 
     @pytest.mark.parametrize("per_region", [False, True])
     def test_refine_mode_none_keeps_every_pasted_pixel(self, frozen, images, per_region):
