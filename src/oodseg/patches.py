@@ -1,11 +1,14 @@
 """Synthetic anomaly patches: random crops reshaped into convex polygons.
 
-Rectangular crops are sampled from donor images, corner points are found
-with a Harris detector on the crop's luma, their convex hull becomes the
-patch outline, and the outline is rasterized with a pixel-center even-odd
-rule.  Crops whose corners are too few or collinear fall back to the full
-rectangle ("square patch").  Patches are then pasted at random positions
-on a target image, later patches overwriting earlier ones.
+Corner points are found once per donor image, with a Harris detector on
+the whole donor's luma, so detection thresholds are relative to the
+donor's peak response.  Rectangular crops are sampled from the donors;
+the donor corners inside a crop, in crop coordinates, span its convex
+hull, which becomes the patch outline and is rasterized with a
+pixel-center even-odd rule.  Crops holding too few or only collinear
+corners fall back to the full rectangle ("square patch").  Patches are
+then pasted at random positions on a target image, later patches
+overwriting earlier ones.
 """
 
 from __future__ import annotations
@@ -198,6 +201,18 @@ def harris_corners(
     return [(j + margin, i + margin) for i, j in np.argwhere(keep).tolist()]
 
 
+def donor_corners(image: np.ndarray, cfg: PatchConfig = PatchConfig()) -> np.ndarray:
+    """Harris corners (x, y) of a whole donor's luma, as an int [n, 2] array."""
+    pts = harris_corners(
+        luma(image),
+        k=cfg.harris_k,
+        sigma=cfg.harris_sigma,
+        thresh_frac=cfg.harris_thresh_frac,
+        nms_radius=cfg.harris_nms_radius,
+    )
+    return np.array(pts, dtype=np.int64).reshape(-1, 2)
+
+
 def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -260,12 +275,17 @@ def build_patches(
     donor_images: list[np.ndarray],
     candidates: list[PatchCandidate],
     cfg: PatchConfig = PatchConfig(),
+    corners: list[np.ndarray] | None = None,
 ) -> list[PolygonPatch]:
     """Carve each candidate crop into a convex polygon patch.
 
-    Degenerate corner sets (or the "square" policy) keep the whole
-    rectangle instead.
+    ``corners`` runs parallel to ``donor_images`` and holds each donor's
+    ``donor_corners``; None computes them here.  A crop's outline is the
+    hull of its donor's corners inside the crop.  Degenerate corner sets
+    (or the "square" policy) keep the whole rectangle instead.
     """
+    if corners is None and cfg.policy == "convex":
+        corners = [donor_corners(image, cfg) for image in donor_images]
     patches = []
     for cand in candidates:
         crop = donor_images[cand.donor][
@@ -274,15 +294,10 @@ def build_patches(
         if cfg.policy == "square":
             patches.append(_rect_patch(crop))
             continue
-        corners = harris_corners(
-            luma(crop),
-            k=cfg.harris_k,
-            sigma=cfg.harris_sigma,
-            thresh_frac=cfg.harris_thresh_frac,
-            nms_radius=cfg.harris_nms_radius,
-        )
+        local = corners[cand.donor] - (cand.x0, cand.y0)
+        inside = (local >= 0).all(axis=1) & (local[:, 0] < cand.width) & (local[:, 1] < cand.height)
         try:
-            hull = convex_hull(corners)
+            hull = convex_hull(local[inside].tolist())
             mask = rasterize(hull, crop.shape[1], crop.shape[0])
         except (DegenerateHullError, DegeneratePolygonError):
             patches.append(_rect_patch(crop))
@@ -323,8 +338,11 @@ def synth_pasted_scene(
     n_patches: int,
     rng: np.random.Generator,
     cfg: PatchConfig = PatchConfig(),
+    corners: list[np.ndarray] | None = None,
 ) -> PastedScene:
-    """Full pipeline: sample crops, carve polygons, paste onto the target."""
+    """Full pipeline: sample crops, carve polygons, paste onto the target.
+
+    ``corners`` is as in ``build_patches``."""
     candidates = sample_candidates(donor_images, n_patches, rng, cfg)
-    patches = build_patches(donor_images, candidates, cfg)
+    patches = build_patches(donor_images, candidates, cfg, corners)
     return paste_patches(target, patches, rng)

@@ -32,7 +32,7 @@ from .head import (
 )
 from .losses import MARGIN_MODES, DegeneratePartitionError, batch_total_loss, pooled_set_sizes
 from .metrics import EvalResult, evaluate_scores
-from .patches import PatchConfig, synth_pasted_scene
+from .patches import PatchConfig, donor_corners, synth_pasted_scene
 from .refine import MODES as REFINE_MODES
 from .refine import EmptyPastedRegionError, refine_partition
 from .synthworld import FrozenModel, frozen_digest, frozen_encoder, seg_logits_map
@@ -122,6 +122,7 @@ class AdamState:
 
 def _prepare_example(
     images: list[np.ndarray],
+    corners: list[np.ndarray],
     frozen: FrozenModel,
     head: HeadParams,
     cfg: TrainConfig,
@@ -139,8 +140,9 @@ def _prepare_example(
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(iteration, slot)))
     t_idx = int(rng.integers(len(images)))
-    donors = images[:t_idx] + images[t_idx + 1 :] if len(images) > 1 else [images[t_idx]]
-    scene = synth_pasted_scene(images[t_idx], donors, cfg.n_patches, rng, cfg.patch)
+    donors = images[:t_idx] + images[t_idx + 1 :]
+    donor_pts = corners[:t_idx] + corners[t_idx + 1 :]
+    scene = synth_pasted_scene(images[t_idx], donors, cfg.n_patches, rng, cfg.patch, donor_pts)
     feats = frozen_encoder(frozen, scene.image)
     seg = seg_logits_map(frozen, feats)
     jem = jem_map(seg)
@@ -159,6 +161,7 @@ def _prepare_example(
 
 def _step(
     images: list[np.ndarray],
+    corners: list[np.ndarray],
     frozen: FrozenModel,
     head: HeadParams,
     adam: AdamState,
@@ -170,7 +173,9 @@ def _step(
     Its own function so that the iteration's head caches die when it
     returns, before the next iteration's forwards allocate theirs.
     """
-    examples = [_prepare_example(images, frozen, head, cfg, iteration, s) for s in range(cfg.batch_size)]
+    examples = [
+        _prepare_example(images, corners, frozen, head, cfg, iteration, s) for s in range(cfg.batch_size)
+    ]
     items = [item for item, _ in examples]
     parts = [part for _, _, part in items]
     n_ood, _ = pooled_set_sizes(parts)
@@ -216,10 +221,12 @@ def train(
     head = head_init(head_cfg, seed=cfg.seed)
     adam = AdamState(head)
     log = TrainLog()
+    # one Harris pass per training image, keyed by its index in train_images
+    corners = [donor_corners(image, cfg.patch) for image in train_images]
     for it in range(cfg.iterations):
         tic = time.perf_counter()
         try:
-            stats = _step(train_images, frozen, head, adam, cfg, it)
+            stats = _step(train_images, corners, frozen, head, adam, cfg, it)
         except (EmptyPastedRegionError, DegeneratePartitionError):
             log.aborted += 1
             continue

@@ -14,6 +14,7 @@ from oodseg.patches import (
     PatchCandidate,
     PatchConfig,
     build_patches,
+    donor_corners,
     convex_hull,
     harris_corners,
     luma,
@@ -191,10 +192,37 @@ class TestBuildPatches:
         donors[0][10:40, 10:40] = 200  # bright square inside the crop
         cand = PatchCandidate(donor=0, x0=0, y0=0, width=48, height=48)
         (patch,) = build_patches(donors, [cand])
-        corners = harris_corners(luma(donors[0][:48, :48]))
-        assert patch.vertices == convex_hull(corners)
+        corners = donor_corners(donors[0])  # the crop sits at the origin
+        assert patch.vertices == convex_hull(corners[(corners < 48).all(axis=1)].tolist())
         assert patch.mask.any() and not patch.mask.all()
         assert patch.mask.shape == (48, 48)
+
+
+class TestDonorCorners:
+    def square_donor(self):
+        donor = np.zeros((64, 64, 3), dtype=np.uint8)
+        donor[20:36, 20:36] = 200
+        return donor
+
+    def test_one_pass_over_the_whole_donor(self):
+        assert donor_corners(self.square_donor()).tolist() == [[20, 20], [35, 20], [20, 35], [35, 35]]
+        assert donor_corners(np.zeros((64, 64, 3), dtype=np.uint8)).shape == (0, 2)
+
+    def test_crop_takes_the_donor_corners_inside_it(self):
+        # the corners sit 2 px inside the crop's border, where a Harris
+        # pass over the crop alone lacks support
+        cand = PatchCandidate(donor=0, x0=18, y0=18, width=20, height=20)
+        (patch,) = build_patches([self.square_donor()], [cand])
+        assert patch.vertices == [(2.0, 2.0), (17.0, 2.0), (17.0, 17.0), (2.0, 17.0)]
+        expected = np.zeros((20, 20), dtype=bool)
+        expected[2:17, 2:17] = True
+        np.testing.assert_array_equal(patch.mask, expected)
+
+    def test_crop_without_corners_keeps_rectangle(self):
+        cand = PatchCandidate(donor=0, x0=40, y0=40, width=16, height=16)
+        (patch,) = build_patches([self.square_donor()], [cand])
+        assert patch.vertices == [(0.0, 0.0), (16.0, 0.0), (16.0, 16.0), (0.0, 16.0)]
+        assert patch.mask.all()
 
 
 class TestPaste:

@@ -5,7 +5,8 @@ import pytest
 
 from oodseg.estimators import SCORERS
 from oodseg.head import HeadConfig, head_init, load_head
-from oodseg.patches import PatchConfig
+import oodseg.trainer
+from oodseg.patches import PatchConfig, donor_corners, synth_pasted_scene
 from oodseg.synthworld import (
     SceneSpec,
     fit_frozen_decoder,
@@ -198,6 +199,27 @@ class TestTrain:
                 np.testing.assert_array_equal(blk.run_var, blk0.run_var)
             for (name, arr), (_, arr0) in zip(head.trainable(), init.trainable()):
                 np.testing.assert_array_equal(arr, arr0, err_msg=name)
+
+    def test_crops_take_their_donors_corners(self, frozen, images, monkeypatch):
+        # the target leaves the donor list and shifts the donors after it;
+        # each donor's corners must shift with it
+        calls = []
+
+        def spy(target, donors, n_patches, rng, cfg, corners):
+            calls.append((target, donors, corners))
+            return synth_pasted_scene(target, donors, n_patches, rng, cfg, corners)
+
+        monkeypatch.setattr(oodseg.trainer, "synth_pasted_scene", spy)
+        train(images, frozen, tiny_cfg(iterations=3), head_config=HEAD_CFG)
+        index = {id(image): i for i, image in enumerate(images)}
+        target_before_donor = set()
+        for target, donors, corners in calls:
+            assert len(donors) == len(corners) == len(images) - 1
+            for donor, pts in zip(donors, corners):
+                np.testing.assert_array_equal(pts, donor_corners(donor))
+                target_before_donor.add(index[id(target)] < index[id(donor)])
+        assert target_before_donor == {True, False}
+        assert len({tuple(map(tuple, donor_corners(image))) for image in images}) == len(images)
 
     @pytest.mark.parametrize("per_region", [False, True])
     def test_refine_mode_none_keeps_every_pasted_pixel(self, frozen, images, per_region):
