@@ -53,6 +53,7 @@ from .tensorio import NetpbmError, TensorFormatError, read_ppm, write_pgm
 from .trainer import (
     TrainConfig,
     TrainingAbortedError,
+    TrainingDivergedError,
     evaluate,
     train,
     write_eval_csv,
@@ -426,6 +427,7 @@ def main(argv=None) -> int:
         return 3
     except (
         TrainingAbortedError,
+        TrainingDivergedError,
         DegeneratePartitionError,
         EmptyPastedRegionError,
         MetricInputError,

@@ -43,6 +43,10 @@ class TrainingAbortedError(RuntimeError):
     """Too many iterations hit degenerate partitions."""
 
 
+class TrainingDivergedError(RuntimeError):
+    """A refinement score or the loss is not finite; the message names the iteration."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 2000
@@ -149,6 +153,8 @@ def _prepare_example(
     logits, cache = head_forward(head, feats.astype(np.float32), mode="train")  # the head trains in float32
     logits = logits.astype(np.float64)
     score = jem if iteration < cfg.warmup_iters else combined_map(logits, seg, cfg.lam)
+    if not np.isfinite(score).all():
+        raise TrainingDivergedError(f"iteration {iteration}: refinement score is not finite")
     part = refine_partition(
         score,
         scene.mask,
@@ -179,7 +185,9 @@ def _step(
     items = [item for item, _ in examples]
     parts = [part for _, _, part in items]
     n_ood, _ = pooled_set_sizes(parts)
-    _, l_a, l_o, grads = batch_total_loss(items, cfg.gamma, cfg.w_a, cfg.w_o, cfg.margin)
+    total, l_a, l_o, grads = batch_total_loss(items, cfg.gamma, cfg.w_a, cfg.w_o, cfg.margin)
+    if not np.isfinite([total, l_a, l_o]).all():
+        raise TrainingDivergedError(f"iteration {iteration}: loss is not finite")
     caches = [cache for _, cache in examples]
     total_grads: dict[str, np.ndarray] | None = None
     for cache, g_logits in zip(caches, grads):

@@ -362,6 +362,22 @@ class TestExitCodes:
         )
         assert rc == 4
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_diverging_training_is_4(self, pipeline, tmp_path, capsys):
+        rc = main(
+            [
+                "train",
+                *TINY,
+                "--set", "train.lr=1e300",
+                "--data", str(pipeline / "data"),
+                "--frozen", str(pipeline / "frozen"),
+                "--out", str(tmp_path / "r"),
+            ]
+        )
+        assert rc == 4
+        assert "iteration 1: loss is not finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

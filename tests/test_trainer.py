@@ -18,6 +18,7 @@ from oodseg.trainer import (
     AdamState,
     TrainConfig,
     TrainingAbortedError,
+    TrainingDivergedError,
     evaluate,
     train,
     write_eval_csv,
@@ -199,6 +200,18 @@ class TestTrain:
                 np.testing.assert_array_equal(blk.run_var, blk0.run_var)
             for (name, arr), (_, arr0) in zip(head.trainable(), init.trainable()):
                 np.testing.assert_array_equal(arr, arr0, err_msg=name)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "warmup_iters, what", [(3, "loss"), (0, "refinement score")], ids=["warmup_loss", "score"]
+    )
+    def test_divergence_names_the_iteration(self, frozen, images, warmup_iters, what):
+        # the first step throws the weights past float32 range; the next
+        # iteration must stop before refinement or Adam sees the result
+        cfg = tiny_cfg(lr=1e300, warmup_iters=warmup_iters)
+        with pytest.raises(TrainingDivergedError, match=f"^iteration 1: {what} is not finite$"):
+            train(images, frozen, cfg, head_config=HEAD_CFG)
 
     def test_crops_take_their_donors_corners(self, frozen, images, monkeypatch):
         # the target leaves the donor list and shifts the donors after it;
