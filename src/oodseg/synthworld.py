@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -298,10 +299,15 @@ def load_frozen(model_dir: str | Path) -> FrozenModel:
     return model
 
 
+_SCENE_FILE = re.compile(r"scene_(\d{4,})(\.ppm|_labels\.pgm|_anomaly\.pgm)")
+
+
 def export_dataset(spec: SceneSpec, n_train: int, n_eval: int, out_dir: str | Path, seed: int = 0) -> None:
     """Write PPM scenes, PGM labels, and eval anomaly masks plus a manifest.
 
     Anomaly masks store 0 = normal, 1 = anomalous (255 would mean IGNORE).
+    Scene files of an earlier, larger export into the same directory are
+    deleted, so the directory holds exactly what the manifest lists.
     """
     if n_train < 2:
         raise BadValueError(f"need >= 2 training scenes for donor sampling, got {n_train}")
@@ -310,6 +316,11 @@ def export_dataset(spec: SceneSpec, n_train: int, n_eval: int, out_dir: str | Pa
     out = Path(out_dir)
     (out / "train").mkdir(parents=True, exist_ok=True)
     (out / "eval").mkdir(parents=True, exist_ok=True)
+    for split, n in (("train", n_train), ("eval", n_eval)):
+        for path in (out / split).glob("scene_*"):
+            m = _SCENE_FILE.fullmatch(path.name)
+            if m and int(m.group(1)) >= n:
+                path.unlink()
     for i in range(n_train):
         rng = np.random.default_rng([seed, 2, i])
         image, labels, _ = generate_scene(spec, rng)

@@ -216,6 +216,16 @@ class TestDatasetExport:
             np.testing.assert_array_equal(mask, expect_anom.astype(np.uint8))
             assert set(np.unique(mask)) <= {0, 1}
 
+    def test_smaller_export_deletes_stale_scenes(self, tmp_path):
+        out = tmp_path / "data"
+        export_dataset(SPEC, n_train=5, n_eval=3, out_dir=out, seed=11)
+        (out / "train" / "notes.txt").write_text("kept")
+        export_dataset(SPEC, n_train=3, n_eval=2, out_dir=out, seed=11)
+        expect = sorted(f"scene_{i:04d}{suffix}" for i in range(3) for suffix in (".ppm", "_labels.pgm"))
+        assert sorted(p.name for p in (out / "train").glob("scene_*")) == expect
+        assert (out / "train" / "notes.txt").read_text() == "kept"
+        assert len(list((out / "eval").glob("scene_*"))) == 2 * 3
+
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             export_dataset(SPEC, n_train=1, n_eval=1, out_dir=tmp_path / "d1")
