@@ -140,6 +140,8 @@ def _prepare_example(
     own BN batch statistics rather than the running statistics; warmup
     scores with the free energy alone.  The head is not changed: the
     returned cache carries the batch statistics for ``commit_batch_stats``.
+    ``corners`` runs parallel to ``images`` (``donor_corners`` of each);
+    the target leaves both lists, so every donor keeps its own corners.
     Returns ((logits, jem, partition), cache).
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(iteration, slot)))
@@ -216,7 +218,8 @@ def train(
 
     One record per completed iteration; iterations whose partition is
     degenerate are skipped and counted, and more than
-    ``max_abort_frac`` of them fails the run.
+    ``max_abort_frac`` of them fails the run.  A non-finite refinement
+    score or loss raises ``TrainingDivergedError`` at once.
     """
     if len(train_images) < 2:
         raise ValueError(f"need >= 2 training images, got {len(train_images)}")
