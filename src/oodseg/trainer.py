@@ -175,22 +175,26 @@ def _step(
     adam: AdamState,
     cfg: TrainConfig,
     iteration: int,
+    slots: list,
 ) -> tuple[float, float, int, int, float]:
     """One training iteration; returns (l_a, l_o, n_ood, n_ignored, eta).
 
-    Its own function so that the iteration's head caches die when it
-    returns, before the next iteration's forwards allocate theirs.
+    ``slots`` holds each batch slot's example from the previous iteration,
+    head cache included, and each is replaced as soon as its successor
+    exists.  So at most one cache more than the batch is alive, and the
+    allocator hands a released cache's memory to the next slot.  Releasing
+    every cache at the end of the iteration instead returns their memory
+    to the system, and the next iteration faults it back in page by page.
     """
-    examples = [
-        _prepare_example(images, corners, frozen, head, cfg, iteration, s) for s in range(cfg.batch_size)
-    ]
-    items = [item for item, _ in examples]
+    for s in range(cfg.batch_size):
+        slots[s] = _prepare_example(images, corners, frozen, head, cfg, iteration, s)
+    items = [item for item, _ in slots]
     parts = [part for _, _, part in items]
     n_ood, _ = pooled_set_sizes(parts)
     total, l_a, l_o, grads = batch_total_loss(items, cfg.gamma, cfg.w_a, cfg.w_o, cfg.margin)
     if not np.isfinite([total, l_a, l_o]).all():
         raise TrainingDivergedError(f"iteration {iteration}: loss is not finite")
-    caches = [cache for _, cache in examples]
+    caches = [cache for _, cache in slots]
     total_grads: dict[str, np.ndarray] | None = None
     for cache, g_logits in zip(caches, grads):
         g = head_backward(head, cache, g_logits)
@@ -234,10 +238,11 @@ def train(
     log = TrainLog()
     # one Harris pass per training image, keyed by its index in train_images
     corners = [donor_corners(image, cfg.patch) for image in train_images]
+    slots = [None] * cfg.batch_size
     for it in range(cfg.iterations):
         tic = time.perf_counter()
         try:
-            stats = _step(train_images, corners, frozen, head, adam, cfg, it)
+            stats = _step(train_images, corners, frozen, head, adam, cfg, it, slots)
         except (EmptyPastedRegionError, DegeneratePartitionError):
             log.aborted += 1
             continue
