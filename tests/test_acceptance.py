@@ -7,8 +7,8 @@ twice with the same seed inside the module fixture, which takes a few
 minutes and backs the quality, determinism, and isolation criteria.
 
 Reference measurements for this seed (2 vCPUs, Python 3.11, numpy 2.4,
-OpenBLAS 0.3.31): combined ap 0.8337 / auroc 0.9450, tae 0.8299 / 0.9405,
-tore 0.8327 / 0.9476, jem 0.4163 / 0.7472, training about 185 s.
+OpenBLAS 0.3.31): combined ap 0.8334 / auroc 0.9354, tae 0.8324 / 0.9330,
+tore 0.8308 / 0.9383, jem 0.4163 / 0.7472, training about 140 s.
 
 The golden CSVs of criterion 6 live in ``tests/golden/<key>/``, where the
 key is the numeric-platform fingerprint of ``numeric_platform.py``: the
