@@ -13,8 +13,7 @@ overwriting earlier ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,39 +110,26 @@ def sample_candidates(
     return out
 
 
-@lru_cache(maxsize=None)
 def _gauss_taps(sigma: float) -> np.ndarray:
     radius = max(1, int(np.ceil(3.0 * sigma)))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-0.5 * (t / sigma) ** 2)
-    taps /= taps.sum()
-    taps.setflags(write=False)  # shared by every call through the cache
-    return taps
-
-
-def _shifted(a: np.ndarray, n: int, axis: int) -> np.ndarray:
-    """View [n, ...] of contiguous ``a`` whose i-th slice starts i steps along ``axis``.
-
-    Built on ``a``'s buffer, which numpy refuses for a non-contiguous ``a``,
-    and checked against its extent; ``sliding_window_view`` does the same
-    at about 20 us more per call, which Harris pays three times per crop.
-    """
-    shape = list(a.shape)
-    shape[axis] -= n - 1
-    return np.ndarray((n, *shape), a.dtype, buffer=a, strides=(a.strides[axis], *a.strides))
+    return taps / taps.sum()
 
 
 def _smooth(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    # separable zero-padded convolution over the last two axes; reducing the
-    # tap products over their leading axis adds them one tap at a time
+    # separable zero-padded convolution over the last two axes, adding the
+    # taps in index order
     r = len(taps) // 2
-    taps = taps.reshape((-1,) + (1,) * a.ndim)
-    ap = np.zeros(a.shape[:-2] + (a.shape[-2] + 2 * r, a.shape[-1]))
-    ap[..., r:-r, :] = a
-    rows = np.add.reduce(taps * _shifted(ap, len(taps), -2), axis=0)
-    ap = np.zeros(a.shape[:-1] + (a.shape[-1] + 2 * r,))
-    ap[..., r:-r] = rows
-    return np.add.reduce(taps * _shifted(ap, len(taps), -1), axis=0)
+    for _ in range(2):  # along rows, then along columns of the swapped result
+        n = a.shape[-2]
+        ap = np.zeros(a.shape[:-2] + (n + 2 * r, a.shape[-1]))
+        ap[..., r : r + n, :] = a
+        a = taps[0] * ap[..., :n, :]
+        for i in range(1, len(taps)):
+            a += taps[i] * ap[..., i : i + n, :]
+        a = a.swapaxes(-1, -2)
+    return a
 
 
 def harris_corners(
@@ -168,17 +154,8 @@ def harris_corners(
     h, w = g.shape
     if h <= 2 * margin or w <= 2 * margin:
         return []
-    # np.gradient with unit spacing: central differences inside, one-sided
-    # first-order differences on the border rows and columns
-    d = np.empty((2, h, w))
-    d[0, :, 1:-1] = (g[:, 2:] - g[:, :-2]) / 2.0
-    d[0, :, 0] = g[:, 1] - g[:, 0]
-    d[0, :, -1] = g[:, -1] - g[:, -2]
-    d[1, 1:-1] = (g[2:] - g[:-2]) / 2.0
-    d[1, 0] = g[1] - g[0]
-    d[1, -1] = g[-1] - g[-2]
-    s = _smooth(d[:, None] * d[None, :], taps)  # [2, 2, h, w] structure tensor
-    sxx, syy, sxy = s[0, 0], s[1, 1], s[0, 1]
+    iy, ix = np.gradient(g)
+    sxx, syy, sxy = _smooth(np.stack([ix * ix, iy * iy, ix * iy]), taps)
     r = (sxx * syy - sxy * sxy) - k * (sxx + syy) ** 2
     peak = r.max()
     if peak <= 0.0:
@@ -186,19 +163,15 @@ def harris_corners(
     # strict maxima only: a candidate must exceed every other response in
     # its (border-clipped) window, so plateaus suppress themselves
     nr = nms_radius
-    padded = np.full((h + 2 * nr, w + 2 * nr), -np.inf)
-    padded[nr : nr + h, nr : nr + w] = r
-    centre = r[margin : h - margin, margin : w - margin]
-    # win[dy, dx, i, j] = padded[margin + i + dy, margin + j + dx]: the window
-    # of the response at (margin + i, margin + j)
-    s0, s1 = padded.strides
-    win = np.ndarray(
-        (2 * nr + 1, 2 * nr + 1) + centre.shape, padded.dtype, buffer=padded,
-        offset=margin * (s0 + s1), strides=(s0, s1, s0, s1),
-    )
-    unique_max = np.count_nonzero(win >= centre, axis=(0, 1)) == 1
-    keep = unique_max & (centre >= thresh_frac * peak)
-    return [(j + margin, i + margin) for i, j in np.argwhere(keep).tolist()]
+    padded = np.pad(r, nr, constant_values=-np.inf)
+    others = np.full_like(r, -np.inf)
+    for dy in range(2 * nr + 1):
+        for dx in range(2 * nr + 1):
+            if (dy, dx) != (nr, nr):
+                np.maximum(others, padded[dy : dy + h, dx : dx + w], out=others)
+    keep = (r > others) & (r >= thresh_frac * peak)
+    inner = keep[margin : h - margin, margin : w - margin]
+    return [(j + margin, i + margin) for i, j in np.argwhere(inner).tolist()]
 
 
 def donor_corners(image: np.ndarray, cfg: PatchConfig = PatchConfig()) -> np.ndarray:

@@ -23,6 +23,68 @@ from oodseg.patches import (
     sample_candidates,
     synth_pasted_scene,
 )
+from oodseg.synthworld import SceneSpec, generate_scene
+
+
+def reference_harris(gray, k=0.04, sigma=1.0, thresh_frac=0.01, nms_radius=2):
+    """Direct Harris formulation: per-axis tap loops, then for each candidate
+    pixel a window max that only the candidate itself may reach."""
+    g = np.asarray(gray, dtype=np.float64)
+    radius = max(1, int(np.ceil(3.0 * sigma)))
+    t = np.arange(-radius, radius + 1, dtype=np.float64)
+    taps = np.exp(-0.5 * (t / sigma) ** 2)
+    taps /= taps.sum()
+    h, w = g.shape
+    margin = radius + 1
+    if h <= 2 * margin or w <= 2 * margin:
+        return []
+
+    def smooth(a):
+        ap = np.zeros((h + 2 * radius, w))
+        ap[radius : radius + h] = a
+        rows = taps[0] * ap[:h]
+        for i in range(1, len(taps)):
+            rows += taps[i] * ap[i : i + h]
+        ap = np.zeros((h, w + 2 * radius))
+        ap[:, radius : radius + w] = rows
+        out = taps[0] * ap[:, :w]
+        for i in range(1, len(taps)):
+            out += taps[i] * ap[:, i : i + w]
+        return out
+
+    iy, ix = np.gradient(g)
+    sxx, syy, sxy = smooth(ix * ix), smooth(iy * iy), smooth(ix * iy)
+    r = (sxx * syy - sxy * sxy) - k * (sxx + syy) ** 2
+    peak = r.max()
+    if peak <= 0.0:
+        return []
+    nr = nms_radius
+    out = []
+    for i, j in np.argwhere(r >= thresh_frac * peak).tolist():
+        if i < margin or j < margin or i >= h - margin or j >= w - margin:
+            continue
+        win = r[max(0, i - nr) : i + nr + 1, max(0, j - nr) : j + nr + 1]
+        wmax = win.max()
+        if r[i, j] == wmax and np.count_nonzero(win == wmax) == 1:
+            out.append((j, i))
+    return out
+
+
+@pytest.fixture(scope="module")
+def reference_images():
+    """The 48 desk training donors' luma, then seeded small images whose few
+    grey levels leave plateaus and exact ties in the response."""
+    spec = SceneSpec()
+    images = [luma(generate_scene(spec, np.random.default_rng([0, 2, i]))[0]) for i in range(48)]
+    rng = np.random.default_rng(11)
+    for n in range(300):
+        h, w = rng.integers(5, 41, size=2)
+        if n % 2:
+            levels = rng.integers(0, 3, size=(h, w))
+        else:
+            levels = np.kron(rng.integers(0, 4, size=(h // 4 + 1, w // 4 + 1)), np.ones((4, 4), dtype=np.int64))
+        images.append((60 * levels[:h, :w]).astype(np.uint8))
+    return images
 
 
 def strictly_inside(hull, px, py):
@@ -99,6 +161,15 @@ class TestHarris:
     def test_rejects_color_input(self):
         with pytest.raises(ValueError):
             harris_corners(np.zeros((8, 8, 3)))
+
+    @pytest.mark.parametrize(
+        "params",
+        [{}, {"thresh_frac": 1e-4, "nms_radius": 1}, {"sigma": 1.5, "nms_radius": 0}, {"k": 0.06, "nms_radius": 5}],
+        ids=["defaults", "polygons", "wide_no_nms", "wide_nms"],
+    )
+    def test_matches_reference_window_rule(self, reference_images, params):
+        for gray in reference_images:
+            assert harris_corners(gray, **params) == reference_harris(gray, **params)
 
 
 class TestConvexHull:
