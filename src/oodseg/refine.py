@@ -14,11 +14,8 @@ pasted region as anomalies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .tensorio import write_pgm
 
 SEARCH_MODES = ("eq11", "otsu")
 MODES = (*SEARCH_MODES, "none")
@@ -143,11 +140,3 @@ def refine_partition(
         eta=eta,
         eta_by_region=etas,
     )
-
-
-def save_partition_pgm(part: PixelPartition, path: str | Path) -> None:
-    """Debug dump: 0 = in-distribution, 128 = ignored, 255 = anomaly."""
-    img = np.zeros(part.ood_mask.shape, dtype=np.uint8)
-    img[part.ignored_mask] = 128
-    img[part.ood_mask] = 255
-    write_pgm(path, img)

@@ -28,7 +28,6 @@ from .head import (
     head_backward,
     head_forward,
     head_init,
-    save_head,
 )
 from .losses import MARGIN_MODES, DegeneratePartitionError, batch_total_loss, pooled_set_sizes
 from .metrics import EvalResult, evaluate_scores
@@ -215,8 +214,6 @@ def train(
     frozen: FrozenModel,
     cfg: TrainConfig,
     head_config: HeadConfig | None = None,
-    checkpoint_dir: str | Path | None = None,
-    checkpoint_every: int = 0,
 ) -> tuple[HeadParams, TrainLog]:
     """Train the head on pasted scenes; returns final parameters and the log.
 
@@ -242,13 +239,14 @@ def train(
     for it in range(cfg.iterations):
         tic = time.perf_counter()
         try:
-            stats = _step(train_images, corners, frozen, head, adam, cfg, it, slots)
+            # a diverging head overflows float32 first; the explicit score and
+            # loss checks in _step report that, naming the iteration
+            with np.errstate(over="ignore", invalid="ignore"):
+                stats = _step(train_images, corners, frozen, head, adam, cfg, it, slots)
         except (EmptyPastedRegionError, DegeneratePartitionError):
             log.aborted += 1
             continue
         log.records.append(LogRecord(it, *stats, ms=(time.perf_counter() - tic) * 1000.0))
-        if checkpoint_dir is not None and checkpoint_every > 0 and (it + 1) % checkpoint_every == 0:
-            save_head(head, Path(checkpoint_dir) / f"iter_{it + 1:06d}")
     if log.aborted > cfg.max_abort_frac * cfg.iterations:
         raise TrainingAbortedError(
             f"{log.aborted}/{cfg.iterations} iterations aborted on degenerate partitions"

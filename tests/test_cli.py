@@ -328,8 +328,9 @@ class TestExitCodes:
             lambda d: _edit_manifest(d, "use_batchnorm=1", "use_batchnorm=yes"),
             # [8, 2] holds as many values as [2, 8], so only a shape check sees it
             lambda d: write_tensor(d / "out_w.tnsr", read_tensor(d / "out_w.tnsr").reshape(-1, 2)),
+            lambda d: _edit_manifest(d, "frozen_digest=", "note="),
         ],
-        ids=["no_hidden", "bad_bool", "out_w_shape"],
+        ids=["no_hidden", "bad_bool", "out_w_shape", "no_digest"],
     )
     def test_corrupt_head_is_3(self, pipeline, tmp_path, corrupt):
         head = tmp_path / "head"
@@ -362,8 +363,7 @@ class TestExitCodes:
         )
         assert rc == 4
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # divergence is reported, not warned about
     def test_diverging_training_is_4(self, pipeline, tmp_path, capsys):
         rc = main(
             [

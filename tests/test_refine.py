@@ -11,13 +11,10 @@ import pytest
 
 from oodseg.refine import (
     EmptyPastedRegionError,
-    PixelPartition,
     refine_partition,
-    save_partition_pgm,
     search_threshold,
     threshold_objective,
 )
-from oodseg.tensorio import read_pgm
 
 
 def slow_search(scores, num_bins=256, mode="eq11"):
@@ -200,17 +197,3 @@ class TestRefinePartition:
             refine_partition(np.zeros((2, 2)), np.zeros((2, 3), dtype=bool))
         with pytest.raises(ValueError):
             refine_partition(np.zeros((2, 2)), np.ones((2, 2), dtype=bool), per_region=True)
-
-
-class TestPartitionPgm:
-    def test_three_level_dump(self, tmp_path):
-        part = PixelPartition(
-            ood_mask=np.array([[True, False], [False, False]]),
-            id_mask=np.array([[False, True], [False, True]]),
-            ignored_mask=np.array([[False, False], [True, False]]),
-            eta=0.0,
-        )
-        p = tmp_path / "part.pgm"
-        save_partition_pgm(part, p)
-        img = read_pgm(p)
-        np.testing.assert_array_equal(img, [[255, 0], [128, 0]])
