@@ -232,9 +232,10 @@ def cmd_train(args) -> int:
 
 def _load_matched_head(head_dir: str, frozen) -> "HeadParams":
     head = load_head(head_dir)
-    manifest = read_head_manifest(head_dir)
-    recorded = manifest.get("frozen_digest")
-    if recorded is not None and recorded != frozen_digest(frozen):
+    recorded = read_head_manifest(head_dir).get("frozen_digest")
+    if recorded is None:
+        raise ArtifactError(f"head checkpoint under {head_dir} records no frozen_digest")
+    if recorded != frozen_digest(frozen):
         raise ArtifactError(
             f"head checkpoint was trained against frozen model {recorded[:12]}, "
             f"got {frozen_digest(frozen)[:12]}"

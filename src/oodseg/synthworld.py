@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -332,19 +332,7 @@ def export_dataset(spec: SceneSpec, n_train: int, n_eval: int, out_dir: str | Pa
         write_ppm(out / "eval" / f"scene_{i:04d}.ppm", image)
         write_pgm(out / "eval" / f"scene_{i:04d}_labels.pgm", labels)
         write_pgm(out / "eval" / f"scene_{i:04d}_anomaly.pgm", anomaly.astype(np.uint8))
-    manifest = {
-        "height": spec.height,
-        "width": spec.width,
-        "classes": spec.classes,
-        "shapes_min": spec.shapes_min,
-        "shapes_max": spec.shapes_max,
-        "anomaly_shapes_min": spec.anomaly_shapes_min,
-        "anomaly_shapes_max": spec.anomaly_shapes_max,
-        "noise": spec.noise,
-        "seed": seed,
-        "n_train": n_train,
-        "n_eval": n_eval,
-    }
+    manifest = {**asdict(spec), "seed": seed, "n_train": n_train, "n_eval": n_eval}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
