@@ -1,6 +1,6 @@
 """Seeded run of every CLI subcommand, for byte-identity checks between trees.
 
-Runs gen-data, fit-frozen, four train variants, eval with and without a
+Runs gen-data, fit-frozen, five train variants, eval with and without a
 head, score for every scorer plus a heatmap, ablate, and sweeps over
 patches, gamma and lambda, all on one small seeded config.  Everything
 lands under OUT, so two source trees compare with one ``diff -r``:
@@ -39,6 +39,9 @@ TRAIN_VARIANTS = {
     "otsu": ["--set", "train.refine_mode=otsu"],
     "none": ["--set", "train.refine_mode=none"],
     "per_region": ["--set", "train.per_region=true"],
+    # most crops become polygons here (few at the defaults), so Harris,
+    # hull and raster changes all reach the bytes
+    "polygons": ["--set", "patch.harris_thresh_frac=1e-4", "--set", "patch.harris_nms_radius=1"],
 }
 
 SWEEPS = {"patches": ["3", "5"], "gamma": ["5", "15"], "lambda": ["0.25", "1"]}
