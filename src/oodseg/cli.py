@@ -75,7 +75,7 @@ DEFAULT_CONFIG: dict = {
     for name, cls in SECTIONS.items()
 }
 DEFAULT_CONFIG["data"] = {"train_scenes": 48, "eval_scenes": 16, "seed": 0}
-DEFAULT_CONFIG["frozen"] = {"feature_dim": 16, "fit_scenes": 100, "ridge_lambda": 0.01, "seed": 0}
+DEFAULT_CONFIG["frozen"] = {"feature_dim": 16, "fit_scenes": 100, "seed": 0}
 DEFAULT_CONFIG["train"]["timing"] = False  # CLI only: real ms in trainlog.csv
 
 
@@ -187,7 +187,6 @@ def _fit_frozen(config: dict, out: Path) -> FrozenModel:
         _section(config, "scene"),
         feature_dim=fz["feature_dim"],
         n_scenes=fz["fit_scenes"],
-        ridge_lam=fz["ridge_lambda"],
         seed=fz["seed"],
     )
     save_frozen(model, out)
@@ -214,9 +213,9 @@ def cmd_fit_frozen(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, args.set)
+    cfg = _section(config, "train", patch=_section(config, "patch"))  # before any file is read
     images = load_train_images(args.data)
     frozen = load_frozen(args.frozen)
-    cfg = _section(config, "train", patch=_section(config, "patch"))
     head_cfg = _section(config, "head", feature_dim=frozen.feature_dim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

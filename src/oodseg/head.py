@@ -5,7 +5,9 @@ backward passes are written out by hand in numpy, including the
 batch-normalization gradient, so they can be verified against central
 finite differences.  Each convolution is one matmul over zero-padded
 image columns; kernels are odd (1x1 by default, so each block is a
-per-pixel linear map).
+per-pixel linear map).  The convolutions carry no bias: BN subtracts
+each channel's batch mean, which would cancel it (its gradient is
+exactly zero).
 
 Activations follow the precision of the input features: float64 features
 (evaluation, scoring, the gradient checks) run in float64, float32
@@ -22,7 +24,7 @@ moving any state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ import numpy as np
 from .tensorio import ArtifactError, read_tensor, write_tensor
 
 OUT_CHANNELS = 2
+BN_EPSILON = 1e-5
 
 
 class HeadShapeError(ValueError):
@@ -42,9 +45,7 @@ class HeadConfig:
     blocks: int = 3
     hidden: int = 32
     kernel_size: int = 1
-    use_batchnorm: bool = True
     bn_momentum: float = 0.9
-    bn_epsilon: float = 1e-5
 
     def __post_init__(self):
         if self.feature_dim < 1:
@@ -57,73 +58,68 @@ class HeadConfig:
             raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
         if not 0.0 <= self.bn_momentum < 1.0:
             raise ValueError(f"bn_momentum must be in [0, 1), got {self.bn_momentum}")
-        if self.bn_epsilon <= 0.0:
-            raise ValueError(f"bn_epsilon must be positive, got {self.bn_epsilon}")
+
+
+_BLOCK_LEAVES = ("w", "gamma", "beta", "run_mean", "run_var")
 
 
 @dataclass
 class BlockParams:
-    w: np.ndarray  # [out, in, k, k]
-    b: np.ndarray  # [out]
-    gamma: np.ndarray | None = None
-    beta: np.ndarray | None = None
-    run_mean: np.ndarray | None = None
-    run_var: np.ndarray | None = None
+    w: np.ndarray         # [out, in, k, k]
+    gamma: np.ndarray     # [out]
+    beta: np.ndarray      # [out]
+    run_mean: np.ndarray  # [out]
+    run_var: np.ndarray   # [out]
 
 
 @dataclass
 class HeadParams:
     config: HeadConfig
-    blocks: list[BlockParams] = field(default_factory=list)
-    out_w: np.ndarray = None  # [2, hidden]
-    out_b: np.ndarray = None  # [2]
+    blocks: list[BlockParams]
+    out_w: np.ndarray  # [2, hidden]
+    out_b: np.ndarray  # [2]
+
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Every stored array by leaf name, in ``_shapes`` order."""
+        named = [(f"block{i}.{n}", getattr(b, n)) for i, b in enumerate(self.blocks) for n in _BLOCK_LEAVES]
+        return named + [("out.w", self.out_w), ("out.b", self.out_b)]
 
     def trainable(self) -> list[tuple[str, np.ndarray]]:
         """Gradient-carrying leaves in a fixed order (running stats excluded)."""
-        leaves = []
-        for i, blk in enumerate(self.blocks):
-            leaves.append((f"block{i}.w", blk.w))
-            leaves.append((f"block{i}.b", blk.b))
-            if blk.gamma is not None:
-                leaves.append((f"block{i}.gamma", blk.gamma))
-                leaves.append((f"block{i}.beta", blk.beta))
-        leaves.append(("out.w", self.out_w))
-        leaves.append(("out.b", self.out_b))
-        return leaves
-
-    def arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Every stored array: the trainable leaves, then the running statistics."""
-        leaves = self.trainable()
-        for i, blk in enumerate(self.blocks):
-            if blk.run_mean is not None:
-                leaves += [(f"block{i}.run_mean", blk.run_mean), (f"block{i}.run_var", blk.run_var)]
-        return leaves
+        return [(name, arr) for name, arr in self.arrays() if ".run_" not in name]
 
     def n_parameters(self) -> int:
         return sum(arr.size for _, arr in self.arrays())
 
 
+def _shapes(cfg: HeadConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every stored array by leaf name: the blocks in order, then out."""
+    shapes = {}
+    c_in, h, k = cfg.feature_dim, cfg.hidden, cfg.kernel_size
+    for i in range(cfg.blocks):
+        shapes[f"block{i}.w"] = (h, c_in, k, k)
+        shapes.update({f"block{i}.{name}": (h,) for name in _BLOCK_LEAVES[1:]})
+        c_in = h
+    shapes["out.w"] = (OUT_CHANNELS, h)
+    shapes["out.b"] = (OUT_CHANNELS,)
+    return shapes
+
+
+def _assemble(cfg: HeadConfig, arrays: dict[str, np.ndarray]) -> HeadParams:
+    blocks = [BlockParams(**{n: arrays[f"block{i}.{n}"] for n in _BLOCK_LEAVES}) for i in range(cfg.blocks)]
+    return HeadParams(config=cfg, blocks=blocks, out_w=arrays["out.w"], out_b=arrays["out.b"])
+
+
 def head_init(cfg: HeadConfig, seed: int) -> HeadParams:
-    """Fresh parameters: He-style conv weights from a seeded PRNG, neutral rest."""
+    """Fresh parameters: He-style weights drawn in ``_shapes`` order, neutral rest."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    c_in = cfg.feature_dim
-    k = cfg.kernel_size
-    for _ in range(cfg.blocks):
-        fan_in = c_in * k * k
-        blk = BlockParams(
-            w=rng.standard_normal((cfg.hidden, c_in, k, k)) * np.sqrt(2.0 / fan_in),
-            b=np.zeros(cfg.hidden),
-        )
-        if cfg.use_batchnorm:
-            blk.gamma = np.ones(cfg.hidden)
-            blk.beta = np.zeros(cfg.hidden)
-            blk.run_mean = np.zeros(cfg.hidden)
-            blk.run_var = np.ones(cfg.hidden)
-        blocks.append(blk)
-        c_in = cfg.hidden
-    out_w = rng.standard_normal((OUT_CHANNELS, cfg.hidden)) * np.sqrt(2.0 / cfg.hidden)
-    return HeadParams(config=cfg, blocks=blocks, out_w=out_w, out_b=np.zeros(OUT_CHANNELS))
+    arrays = {}
+    for name, shape in _shapes(cfg).items():
+        if name.endswith(".w"):  # fan_in: the product of the input dimensions
+            arrays[name] = rng.standard_normal(shape) * np.sqrt(2.0 / np.prod(shape[1:]))
+        else:
+            arrays[name] = (np.ones if name.endswith(("gamma", "run_var")) else np.zeros)(shape)
+    return _assemble(cfg, arrays)
 
 
 def _cols(x: np.ndarray, k: int) -> np.ndarray:
@@ -166,18 +162,18 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _BlockCache:
-    x_in: np.ndarray               # [C_in, H, W] block input
-    z: np.ndarray                  # [C, H*W] conv output, centred per channel under batchnorm
-    mean: np.ndarray | None        # [C] batch mean of the conv output, batchnorm only
-    var: np.ndarray | None         # [C] batch variance of the conv output, batchnorm only
-    inv_std: np.ndarray | None     # [C] batchnorm only
-    scale: np.ndarray | None       # [C] gamma * inv_std, batchnorm only
-    shift: np.ndarray | None       # [C] beta, batchnorm only
+    x_in: np.ndarray     # [C_in, H, W] block input
+    z: np.ndarray        # [C, H*W] conv output, centred per channel
+    mean: np.ndarray     # [C] batch mean of the conv output
+    var: np.ndarray      # [C] batch variance of the conv output
+    inv_std: np.ndarray  # [C]
+    scale: np.ndarray    # [C] gamma * inv_std
+    shift: np.ndarray    # [C] beta
 
     @property
     def y(self) -> np.ndarray:
         """Pre-ReLU activation [C, H, W]."""
-        y = self.z if self.scale is None else self.z * self.scale[:, None] + self.shift[:, None]
+        y = self.z * self.scale[:, None] + self.shift[:, None]
         return y.reshape((-1,) + self.x_in.shape[1:])
 
 
@@ -214,35 +210,25 @@ def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval"):
     for blk in params.blocks:
         cols = _cols(x, cfg.kernel_size)
         w2 = blk.w.reshape(blk.w.shape[0], -1)
-        if blk.gamma is not None and not train:
+        if not train:
             # eval-mode batchnorm is a fixed per-channel affine map, so fold
             # it into the convolution: one matmul and one ReLU per block
-            scale = blk.gamma / np.sqrt(blk.run_var + cfg.bn_epsilon)
+            scale = blk.gamma / np.sqrt(blk.run_var + BN_EPSILON)
             a = (w2 * scale[:, None]).astype(dtype) @ cols
-            a += ((blk.b - blk.run_mean) * scale + blk.beta).astype(dtype)[:, None]
+            a += ((-blk.run_mean) * scale + blk.beta).astype(dtype)[:, None]
             x = np.maximum(a, 0.0, out=a).reshape(-1, h, w)
             continue
         z = w2.astype(dtype) @ cols
-        if blk.gamma is None:
-            z += blk.b.astype(dtype)[:, None]
-            a = np.maximum(z, 0.0)
-            mean = var = inv_std = scale = shift = None
-        else:
-            # the conv bias only shifts the batch mean, which is subtracted
-            n = z.shape[1]
-            mean = _row_sums(z) / n
-            z -= mean.astype(dtype)[:, None]
-            var = _row_dots(z, z) / n
-            mean = mean + blk.b
-            inv_std = 1.0 / np.sqrt(var + cfg.bn_epsilon)
-            scale, shift = blk.gamma * inv_std, blk.beta.copy()
-            a = z * scale.astype(dtype)[:, None]
-            a += shift.astype(dtype)[:, None]
-            np.maximum(a, 0.0, out=a)
-        if train:
-            caches.append(
-                _BlockCache(x_in=x, z=z, mean=mean, var=var, inv_std=inv_std, scale=scale, shift=shift)
-            )
+        n = z.shape[1]
+        mean = _row_sums(z) / n
+        z -= mean.astype(dtype)[:, None]
+        var = _row_dots(z, z) / n
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+        scale, shift = blk.gamma * inv_std, blk.beta.copy()
+        a = z * scale.astype(dtype)[:, None]
+        a += shift.astype(dtype)[:, None]
+        np.maximum(a, 0.0, out=a)
+        caches.append(_BlockCache(x, z, mean, var, inv_std, scale, shift))
         x = a.reshape(-1, h, w)
     logits = params.out_w.astype(dtype) @ x.reshape(x.shape[0], -1)
     logits += params.out_b.astype(dtype)[:, None]
@@ -261,9 +247,8 @@ def commit_batch_stats(params: HeadParams, caches: list[HeadCache]) -> None:
         if cache.params is not params:
             raise ValueError("cache does not belong to these parameters")
         for blk, bc in zip(params.blocks, cache.blocks):
-            if blk.run_mean is not None:
-                blk.run_mean[:] = m * blk.run_mean + (1.0 - m) * bc.mean
-                blk.run_var[:] = m * blk.run_var + (1.0 - m) * bc.var
+            blk.run_mean[:] = m * blk.run_mean + (1.0 - m) * bc.mean
+            blk.run_var[:] = m * blk.run_var + (1.0 - m) * bc.var
 
 
 def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
@@ -272,9 +257,7 @@ def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray)
     ``grad_logits`` is dLoss/dlogits at the head output.  Gradients flow
     through the train-mode batch statistics; no gradient is produced for
     the (frozen) input features.  The cache is left untouched, so it may
-    be differentiated more than once.  The conv bias feeding a batchnorm
-    gets an exactly zero gradient: a uniform shift cancels in the
-    normalization.
+    be differentiated more than once.
     """
     if cache is None or cache.params is not params:
         raise ValueError("cache does not belong to these parameters")
@@ -294,22 +277,17 @@ def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray)
     for i in reversed(range(len(params.blocks))):
         blk, bc = params.blocks[i], cache.blocks[i]
         dz = np.multiply(da, act > 0.0, out=da)  # ReLU gate; da is a fresh array
-        if blk.gamma is None:
-            db = _row_sums(dz)
-        else:
-            # dz = scale * (dy - mean(dy) - xhat * mean(dy * xhat)), xhat = inv_std * z
-            n = dz.shape[1]
-            r = _row_sums(dz)
-            s = _row_dots(dz, bc.z)
-            grads[f"block{i}.gamma"] = bc.inv_std * s
-            grads[f"block{i}.beta"] = r
-            dz *= bc.scale.astype(dtype)[:, None]
-            dz -= (bc.scale * r / n).astype(dtype)[:, None]
-            dz -= bc.z * (bc.scale * bc.inv_std**2 * s / n).astype(dtype)[:, None]
-            db = np.zeros_like(blk.b)
+        # dz = scale * (dy - mean(dy) - xhat * mean(dy * xhat)), xhat = inv_std * z
+        n = dz.shape[1]
+        r = _row_sums(dz)
+        s = _row_dots(dz, bc.z)
+        grads[f"block{i}.gamma"] = bc.inv_std * s
+        grads[f"block{i}.beta"] = r
+        dz *= bc.scale.astype(dtype)[:, None]
+        dz -= (bc.scale * r / n).astype(dtype)[:, None]
+        dz -= bc.z * (bc.scale * bc.inv_std**2 * s / n).astype(dtype)[:, None]
         cols = _cols(bc.x_in, k)
         grads[f"block{i}.w"] = (dz @ cols.T).astype(np.float64).reshape(blk.w.shape)
-        grads[f"block{i}.b"] = db
         if i > 0:
             dcols = blk.w.reshape(blk.w.shape[0], -1).T.astype(dtype) @ dz
             da = _uncols(dcols, k, bc.x_in.shape).reshape(bc.x_in.shape[0], -1)
@@ -319,10 +297,13 @@ def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray)
 
 # ---------------------------------------------------------------------------
 # checkpointing: one TNSR file per array plus a plain-text manifest holding
-# the HeadConfig fields (bools as 0/1, everything else as repr)
+# the HeadConfig fields as repr
 
 _MANIFEST = "head.txt"
-_FROM_TEXT = {"int": int, "float": float, "bool": {"0": False, "1": True}.__getitem__}
+_FROM_TEXT = {"int": int, "float": float}
+# lines of heads written with a conv bias; such a head loads only with these
+# values, the model this head implements (its block*_b tensors are not read)
+_LEGACY_LINES = {"use_batchnorm": "1", "bn_epsilon": repr(BN_EPSILON)}
 
 
 def _tensor_file(name: str) -> str:
@@ -334,8 +315,7 @@ def save_head(params: HeadParams, out_dir: str | Path, extra: dict[str, str] | N
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     for f in fields(HeadConfig):
-        val = getattr(params.config, f.name)
-        lines.append(f"{f.name}={int(val) if isinstance(val, bool) else repr(val)}")
+        lines.append(f"{f.name}={getattr(params.config, f.name)!r}")
     for key, val in (extra or {}).items():
         lines.append(f"{key}={val}")
     (out / _MANIFEST).write_text("\n".join(lines) + "\n")
@@ -354,17 +334,20 @@ def read_head_manifest(ckpt_dir: str | Path) -> dict[str, str]:
 
 def load_head(ckpt_dir: str | Path) -> HeadParams:
     """Checkpoint written by ``save_head``; every tensor must have the shape
-    its manifest's config implies, else ``ArtifactError``."""
+    its manifest's config implies, else ``ArtifactError``.  Each tensor is
+    read and checked before any parameter is built."""
     ckpt = Path(ckpt_dir)
     meta = read_head_manifest(ckpt)
+    for key, val in _LEGACY_LINES.items():
+        if meta.get(key, val) != val:
+            raise ArtifactError(f"head under {ckpt} has {key}={meta[key]}; only {key}={val} is supported")
     try:
         cfg = HeadConfig(**{f.name: _FROM_TEXT[f.type](meta[f.name]) for f in fields(HeadConfig)})
     except (KeyError, ValueError) as exc:
         raise ArtifactError(f"malformed head manifest under {ckpt}: {exc!r}") from exc
-    params = head_init(cfg, seed=0)
-    for name, arr in params.arrays():
-        stored = read_tensor(ckpt / _tensor_file(name))
-        if stored.shape != arr.shape:
-            raise ArtifactError(f"{name} has shape {stored.shape} in {ckpt}, config implies {arr.shape}")
-        arr[...] = stored
-    return params
+    arrays = {}
+    for name, shape in _shapes(cfg).items():
+        arrays[name] = read_tensor(ckpt / _tensor_file(name))
+        if arrays[name].shape != shape:
+            raise ArtifactError(f"{name} has shape {arrays[name].shape} in {ckpt}, config implies {shape}")
+    return _assemble(cfg, arrays)

@@ -32,8 +32,6 @@ class DegeneratePolygonError(ValueError):
 
 @dataclass(frozen=True)
 class PatchConfig:
-    harris_k: float = 0.04
-    harris_sigma: float = 1.0
     harris_thresh_frac: float = 0.01
     harris_nms_radius: int = 2
     min_side: int = 8
@@ -176,13 +174,7 @@ def harris_corners(
 
 def donor_corners(image: np.ndarray, cfg: PatchConfig = PatchConfig()) -> np.ndarray:
     """Harris corners (x, y) of a whole donor's luma, as an int [n, 2] array."""
-    pts = harris_corners(
-        luma(image),
-        k=cfg.harris_k,
-        sigma=cfg.harris_sigma,
-        thresh_frac=cfg.harris_thresh_frac,
-        nms_radius=cfg.harris_nms_radius,
-    )
+    pts = harris_corners(luma(image), thresh_frac=cfg.harris_thresh_frac, nms_radius=cfg.harris_nms_radius)
     return np.array(pts, dtype=np.int64).reshape(-1, 2)
 
 

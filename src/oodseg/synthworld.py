@@ -235,6 +235,8 @@ def fit_frozen_decoder(
         raise BadValueError(f"feature_dim must be >= 1, got {feature_dim}")
     if n_scenes < 1:
         raise BadValueError(f"need at least one scene, got {n_scenes}")
+    if seed < 0:
+        raise BadValueError(f"seed must be >= 0, got {seed}")
     proj = np.random.default_rng([seed, 0]).standard_normal((feature_dim, NEIGHBORHOOD))
     proj /= np.sqrt(NEIGHBORHOOD)
     k = spec.classes
@@ -313,6 +315,8 @@ def export_dataset(spec: SceneSpec, n_train: int, n_eval: int, out_dir: str | Pa
         raise BadValueError(f"need >= 2 training scenes for donor sampling, got {n_train}")
     if n_eval < 1:
         raise BadValueError(f"need >= 1 eval scene, got {n_eval}")
+    if seed < 0:
+        raise BadValueError(f"seed must be >= 0, got {seed}")
     out = Path(out_dir)
     (out / "train").mkdir(parents=True, exist_ok=True)
     (out / "eval").mkdir(parents=True, exist_ok=True)

@@ -38,6 +38,11 @@ from .synthworld import FrozenModel, frozen_digest, frozen_encoder, seg_logits_m
 from .tensorio import IGNORE
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class TrainingAbortedError(RuntimeError):
     """Too many iterations hit degenerate partitions."""
 
@@ -55,9 +60,6 @@ class TrainConfig:
     n_patches: int = 10
     lam: float = 0.5
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     refine_mode: str = "eq11"   # "eq11" | "otsu" | "none" (keep whole pasted region)
     per_region: bool = False
@@ -76,6 +78,8 @@ class TrainConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.lr <= 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.refine_mode not in REFINE_MODES:
             raise ValueError(f"refine_mode must be one of {REFINE_MODES}, got {self.refine_mode!r}")
         if self.margin not in MARGIN_MODES:
@@ -111,16 +115,16 @@ class AdamState:
 
     def step(self, params: HeadParams, grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, arr in params.trainable():
             g = grads[name]
             m, v = self.m[name], self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            arr -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            arr -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _prepare_example(
@@ -189,8 +193,8 @@ def _step(
         slots[s] = _prepare_example(images, corners, frozen, head, cfg, iteration, s)
     items = [item for item, _ in slots]
     parts = [part for _, _, part in items]
-    n_ood, _ = pooled_set_sizes(parts)
     total, l_a, l_o, grads = batch_total_loss(items, cfg.gamma, cfg.w_a, cfg.w_o, cfg.margin)
+    n_ood, _ = pooled_set_sizes(parts)  # the loss made the degenerate-set check; this counts
     if not np.isfinite([total, l_a, l_o]).all():
         raise TrainingDivergedError(f"iteration {iteration}: loss is not finite")
     caches = [cache for _, cache in slots]

@@ -73,7 +73,7 @@ def test_criterion_1_head_gradients_match_finite_differences():
     configs = [
         HeadConfig(feature_dim=6, blocks=2, hidden=8),
         HeadConfig(feature_dim=4, blocks=1, hidden=5),
-        HeadConfig(feature_dim=5, blocks=2, hidden=6, use_batchnorm=False),
+        HeadConfig(feature_dim=5, blocks=3, hidden=6),
         HeadConfig(feature_dim=3, blocks=1, hidden=4, kernel_size=3),
     ]
     t0 = time.perf_counter()

@@ -148,7 +148,7 @@ def _assert_is_default(config):
 class TestSchemaRoundTrip:
     def test_every_key_round_trips_through_set(self):
         sets = [f"{section}.{key}={_text(v)}" for section, keys in DEFAULT_CONFIG.items() for key, v in keys.items()]
-        assert len(sets) == 47
+        assert len(sets) == 39
         _assert_is_default(load_config(None, sets))
 
     def test_every_key_round_trips_through_json(self, tmp_path):
@@ -325,12 +325,15 @@ class TestExitCodes:
         "corrupt",
         [
             lambda d: _edit_manifest(d, "hidden=8\n", ""),  # TINY's head.hidden
-            lambda d: _edit_manifest(d, "use_batchnorm=1", "use_batchnorm=yes"),
+            lambda d: _edit_manifest(d, "blocks=2\n", "blocks=two\n"),  # no head field is a bool
             # [8, 2] holds as many values as [2, 8], so only a shape check sees it
             lambda d: write_tensor(d / "out_w.tnsr", read_tensor(d / "out_w.tnsr").reshape(-1, 2)),
             lambda d: _edit_manifest(d, "frozen_digest=", "note="),
+            # lines of a head with a conv bias, naming a model this head is not
+            lambda d: _edit_manifest(d, "frozen_digest=", "use_batchnorm=0\nfrozen_digest="),
+            lambda d: _edit_manifest(d, "frozen_digest=", "bn_epsilon=0.001\nfrozen_digest="),
         ],
-        ids=["no_hidden", "bad_bool", "out_w_shape", "no_digest"],
+        ids=["no_hidden", "bad_bool", "out_w_shape", "no_digest", "no_batchnorm", "bn_epsilon"],
     )
     def test_corrupt_head_is_3(self, pipeline, tmp_path, corrupt):
         head = tmp_path / "head"
@@ -385,6 +388,10 @@ class TestExitCodes:
             ["gen-data", "--set", "data.eval_scenes=0"],
             ["fit-frozen", "--set", "frozen.feature_dim=0"],
             ["fit-frozen", "--set", "frozen.fit_scenes=0"],
+            ["gen-data", "--set", "data.seed=-1"],
+            ["fit-frozen", "--set", "frozen.seed=-1"],
+            ["train", "--set", "train.seed=-1", "--data", "d", "--frozen", "f"],
+            ["ablate", "--set", "data.seed=-2"],
             ["sweep", "--param", "patches", "--values", "abc"],
             ["sweep", "--param", "gamma", "--values", "nan"],
             ["train", "--set", "train.lr=nan", "--data", "d", "--frozen", "f"],
@@ -396,6 +403,10 @@ class TestExitCodes:
             "eval_scenes",
             "feature_dim",
             "fit_scenes",
+            "data_seed",
+            "frozen_seed",
+            "train_seed",
+            "ablate_data_seed",
             "sweep_abc",
             "sweep_nan",
             "train_nan",
@@ -410,6 +421,28 @@ class TestExitCodes:
         assert main([argv[0], *tiny, *argv[1:], "--out", str(tmp_path / "o")]) == 2
         if argv[0] in ("eval", "score"):
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "head.use_batchnorm",
+            "head.bn_epsilon",
+            "train.beta1",
+            "train.beta2",
+            "train.adam_eps",
+            "patch.harris_k",
+            "patch.harris_sigma",
+            "frozen.ridge_lambda",
+        ],
+    )
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key):
+        # these were settable once; each is now a constant of the program
+        section, name = key.split(".")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({section: {name: 1}}))
+        for args in (["--set", f"{key}=1"], ["--config", str(config)]):
+            assert main(["gen-data", *args, "--out", str(tmp_path / "d")]) == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 class TestGrids:

@@ -7,11 +7,13 @@ the wrong one-sided slope, which says nothing about the backward pass.
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oodseg.head import (
+    BN_EPSILON,
     HeadConfig,
     commit_batch_stats,
     HeadShapeError,
@@ -49,9 +51,8 @@ def fd_loss(params, x, tgt):
 def max_grad_error(params, x, tgt):
     """Worst relative disagreement between backward and central differences.
 
-    The denominator floor matters: the conv bias feeding a batchnorm has a
-    structurally zero gradient (a uniform shift cancels in normalization),
-    so its comparison is effectively absolute at the floor scale.
+    The denominator floor makes the comparison of near-zero gradients
+    effectively absolute at the floor scale.
     """
     logits, cache = head_forward(params, x, mode="train")
     grads = head_backward(params, cache, (logits - tgt) / logits.size)
@@ -86,14 +87,12 @@ class TestConfig:
     def test_parameter_count(self):
         for cfg in (
             HeadConfig(feature_dim=16),
-            HeadConfig(feature_dim=16, use_batchnorm=False),
             HeadConfig(feature_dim=7, blocks=2, hidden=5, kernel_size=3),
         ):
-            # conv w + b per block, plus gamma, beta, running mean and var with BN
+            # conv w per block, plus gamma, beta, running mean and var
             n, c_in = 0, cfg.feature_dim
             for _ in range(cfg.blocks):
-                n += cfg.hidden * c_in * cfg.kernel_size**2 + cfg.hidden
-                n += 4 * cfg.hidden if cfg.use_batchnorm else 0
+                n += cfg.hidden * c_in * cfg.kernel_size**2 + 4 * cfg.hidden
                 c_in = cfg.hidden
             n += 2 * cfg.hidden + 2
             params = head_init(cfg, seed=0)
@@ -101,8 +100,8 @@ class TestConfig:
 
     def test_default_desk_head_size(self):
         # 3 blocks of 32 channels over 16 features, 1x1 kernels:
-        # (16*32+32 + 4*32) + 2*(32*32+32 + 4*32) + (2*32+2) = 3106
-        assert head_init(HeadConfig(feature_dim=16), seed=0).n_parameters() == 3106
+        # (16*32 + 4*32) + 2*(32*32 + 4*32) + (2*32+2) = 3010
+        assert head_init(HeadConfig(feature_dim=16), seed=0).n_parameters() == 3010
 
 
 class TestInit:
@@ -121,8 +120,8 @@ class TestInit:
 
     def test_neutral_bn_and_bias(self):
         params = head_init(HeadConfig(feature_dim=4), seed=0)
+        np.testing.assert_array_equal(params.out_b, 0.0)
         for blk in params.blocks:
-            np.testing.assert_array_equal(blk.b, 0.0)
             np.testing.assert_array_equal(blk.gamma, 1.0)
             np.testing.assert_array_equal(blk.beta, 0.0)
             np.testing.assert_array_equal(blk.run_mean, 0.0)
@@ -156,10 +155,10 @@ class TestForward:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 8, 8))
         w2 = params.blocks[0].w[:, :, 0, 0]
-        z = np.tensordot(w2, x, axes=1) + params.blocks[0].b[:, None, None]
+        z = np.tensordot(w2, x, axes=1)
         mu = z.mean(axis=(1, 2))
         var = z.var(axis=(1, 2))
-        expected = np.maximum((z - mu[:, None, None]) / np.sqrt(var + cfg.bn_epsilon)[:, None, None], 0.0)
+        expected = np.maximum((z - mu[:, None, None]) / np.sqrt(var + BN_EPSILON)[:, None, None], 0.0)
         logits, cache = head_forward(params, x, mode="train")
         np.testing.assert_allclose(np.maximum(cache.blocks[0].y, 0.0), expected, atol=1e-10)
 
@@ -169,7 +168,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((4, 8, 8))
         w2 = params.blocks[0].w[:, :, 0, 0]
-        z = np.tensordot(w2, x, axes=1) + params.blocks[0].b[:, None, None]
+        z = np.tensordot(w2, x, axes=1)
         mu, var = z.mean(axis=(1, 2)), z.var(axis=(1, 2))
         _, cache = head_forward(params, x, mode="train")
         commit_batch_stats(params, [cache])
@@ -227,20 +226,22 @@ class TestForward:
             np.testing.assert_array_equal(blk.run_var, rv)
 
     def test_kernel3_matches_explicit_convolution(self):
-        cfg = HeadConfig(feature_dim=2, blocks=1, hidden=2, kernel_size=3, use_batchnorm=False)
+        cfg = HeadConfig(feature_dim=2, blocks=1, hidden=2, kernel_size=3)
         params = head_init(cfg, seed=3)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 5, 6))
         logits, _ = head_forward(params, x, mode="eval")
-        # brute-force zero-padded correlation for one block plus projection
-        w, b = params.blocks[0].w, params.blocks[0].b
+        # brute-force zero-padded correlation for one block plus projection;
+        # the fresh running statistics (mean 0, variance 1) make the eval
+        # batchnorm a scale by 1 / sqrt(1 + BN_EPSILON)
+        w = params.blocks[0].w
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
         z = np.zeros((2, 5, 6))
         for o in range(2):
             for i in range(5):
                 for j in range(6):
-                    z[o, i, j] = np.sum(w[o] * xp[:, i : i + 3, j : j + 3]) + b[o]
-        a = np.maximum(z, 0.0)
+                    z[o, i, j] = np.sum(w[o] * xp[:, i : i + 3, j : j + 3])
+        a = np.maximum(z / np.sqrt(1.0 + BN_EPSILON), 0.0)
         expected = np.tensordot(params.out_w, a, axes=1) + params.out_b[:, None, None]
         np.testing.assert_allclose(logits, expected, atol=1e-12)
 
@@ -253,11 +254,6 @@ class TestBackward:
             params, x, tgt = clear_instance(seed, cfg)
             worst = max(worst, max_grad_error(params, x, tgt))
         assert worst < 1e-6, f"gradient mismatch {worst:.3e}"
-
-    def test_gradcheck_no_batchnorm(self):
-        cfg = HeadConfig(feature_dim=3, blocks=2, hidden=4, use_batchnorm=False)
-        params, x, tgt = clear_instance(0, cfg)
-        assert max_grad_error(params, x, tgt) < 1e-6
 
     def test_gradcheck_kernel3(self):
         cfg = HeadConfig(feature_dim=3, blocks=1, hidden=4, kernel_size=3)
@@ -284,10 +280,9 @@ class TestBackward:
         "cfg",
         [
             HeadConfig(feature_dim=16),
-            HeadConfig(feature_dim=16, use_batchnorm=False),
             HeadConfig(feature_dim=3, blocks=2, hidden=8, kernel_size=3),
         ],
-        ids=["desk", "no-batchnorm", "kernel3"],
+        ids=["desk", "kernel3"],
     )
     def test_float32_training_matches_float64(self, cfg):
         # training feeds float32 features; the float64 path is the one the
@@ -312,10 +307,9 @@ class TestBackward:
             np.testing.assert_allclose(g32[name], ref, rtol=1e-4, atol=1e-4 * np.abs(ref).max(), err_msg=name)
             np.testing.assert_array_equal(again[name], g32[name], err_msg=name)
         for b32, b64 in zip(p32.blocks, p64.blocks):
-            if b64.run_mean is not None:
-                assert b32.run_mean.dtype == b32.run_var.dtype == np.float64
-                np.testing.assert_allclose(b32.run_mean, b64.run_mean, rtol=1e-4, atol=1e-6)
-                np.testing.assert_allclose(b32.run_var, b64.run_var, rtol=1e-4)
+            assert b32.run_mean.dtype == b32.run_var.dtype == np.float64
+            np.testing.assert_allclose(b32.run_mean, b64.run_mean, rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(b32.run_var, b64.run_var, rtol=1e-4)
 
     def test_grads_cover_all_trainables(self):
         params = head_init(HeadConfig(feature_dim=4), seed=0)
@@ -347,17 +341,38 @@ class TestPersistence:
         manifest = read_head_manifest(tmp_path / "ckpt")
         assert manifest["note"] == "hello"
         assert (tmp_path / "ckpt" / "head.txt").read_text() == (
-            "feature_dim=5\nblocks=2\nhidden=4\nkernel_size=3\nuse_batchnorm=1\n"
-            "bn_momentum=0.9\nbn_epsilon=1e-05\nnote=hello\n"
+            "feature_dim=5\nblocks=2\nhidden=4\nkernel_size=3\nbn_momentum=0.9\nnote=hello\n"
         )
 
-    def test_no_batchnorm_round_trip(self, tmp_path):
-        cfg = HeadConfig(feature_dim=3, use_batchnorm=False)
-        params = head_init(cfg, seed=1)
-        save_head(params, tmp_path / "ckpt")
-        back = load_head(tmp_path / "ckpt")
-        assert back.config.use_batchnorm is False
-        assert back.n_parameters() == params.n_parameters()
+    def test_conv_bias_format_loads(self, tmp_path):
+        # heads written with a conv bias carry two more manifest lines and a
+        # zero block*_b tensor per block; they load as the same model
+        params = head_init(HeadConfig(feature_dim=4, blocks=2, hidden=3), seed=4)
+        save_head(params, tmp_path / "new")
+        old = tmp_path / "old"
+        save_head(params, old)
+        (old / "head.txt").write_text((old / "head.txt").read_text() + "use_batchnorm=1\nbn_epsilon=1e-05\n")
+        for i in range(2):
+            write_tensor(old / f"block{i}_b.tnsr", np.zeros(3))
+        a, b = load_head(tmp_path / "new"), load_head(old)
+        assert a.config == b.config
+        assert [n for n, _ in a.arrays()] == [n for n, _ in b.arrays()]
+        for (name, x), (_, y) in zip(a.arrays(), b.arrays()):
+            np.testing.assert_array_equal(x, y, err_msg=name)
+
+    def test_huge_hidden_fails_before_allocating(self, tmp_path):
+        # the manifest claims a 200000-channel block; its tensors hold 8 channels
+        save_head(head_init(HeadConfig(feature_dim=4, blocks=1, hidden=8), seed=0), tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "head.txt"
+        manifest.write_text(manifest.read_text().replace("hidden=8\n", "hidden=200000\n"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArtifactError):
+                load_head(tmp_path / "ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, f"load_head peaked at {peak / 1e6:.1f} MB"
 
     def test_load_detects_missing_file(self, tmp_path):
         params = head_init(HeadConfig(feature_dim=4), seed=0)
@@ -370,10 +385,14 @@ class TestPersistence:
         "edit",
         [
             lambda text: text.replace("hidden=32\n", ""),
-            lambda text: text.replace("use_batchnorm=1", "use_batchnorm=yes"),
+            # no HeadConfig field is a bool any more; an int that does not parse
+            lambda text: text.replace("blocks=3\n", "blocks=three\n"),
             lambda text: text.replace("blocks=3", "blocks=0"),
+            # lines of a head with a conv bias, naming a model this head is not
+            lambda text: text + "use_batchnorm=0\n",
+            lambda text: text + "bn_epsilon=0.001\n",
         ],
-        ids=["missing_key", "bad_bool", "invalid_value"],
+        ids=["missing_key", "bad_bool", "invalid_value", "no_batchnorm", "bn_epsilon"],
     )
     def test_malformed_manifest_is_artifact_error(self, tmp_path, edit):
         save_head(head_init(HeadConfig(feature_dim=4), seed=0), tmp_path / "ckpt")

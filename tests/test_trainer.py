@@ -6,6 +6,7 @@ import pytest
 from oodseg.estimators import SCORERS
 from oodseg.head import HeadConfig, head_init
 import oodseg.trainer
+from oodseg.losses import DegeneratePartitionError, batch_total_loss
 from oodseg.patches import PatchConfig, donor_corners, synth_pasted_scene
 from oodseg.synthworld import (
     SceneSpec,
@@ -75,6 +76,7 @@ class TestTrainConfig:
             {"margin": "soft"},
             {"w_a": -0.5},
             {"max_abort_frac": 1.5},
+            {"seed": -1},
         ],
     )
     def test_rejects(self, kwargs):
@@ -91,7 +93,7 @@ class TestAdam:
         adam = AdamState(params)
         grads = {name: np.full_like(arr, 2.0) for name, arr in params.trainable()}
         before = {name: arr.copy() for name, arr in params.trainable()}
-        expected_delta = 0.01 * 2.0 / (2.0 + cfg.adam_eps)
+        expected_delta = 0.01 * 2.0 / (2.0 + oodseg.trainer.ADAM_EPS)
         for step in range(1, 3):
             adam.step(params, grads, cfg)
             for name, arr in params.trainable():
@@ -218,6 +220,24 @@ class TestTrain:
                 target_before_donor.add(index[id(target)] < index[id(donor)])
         assert target_before_donor == {True, False}
         assert len({tuple(map(tuple, donor_corners(image))) for image in images}) == len(images)
+
+    def test_degenerate_partitions_abort_inside_the_loss(self, frozen, images, monkeypatch):
+        # the loss's own pooled-set check aborts the iteration, so a caller
+        # that watches the loss (a profiler span) sees every abort
+        raised = []
+
+        def spy(*args, **kwargs):
+            try:
+                return batch_total_loss(*args, **kwargs)
+            except DegeneratePartitionError:
+                raised.append(True)
+                raise
+
+        monkeypatch.setattr(oodseg.trainer, "batch_total_loss", spy)
+        full = PatchConfig(crop_min_div=1, crop_max_div=1, policy="square")
+        cfg = tiny_cfg(iterations=3, warmup_iters=0, max_abort_frac=1.0, patch=full)
+        _, log = train(images, frozen, cfg, head_config=HEAD_CFG)
+        assert log.aborted == len(raised) == 3
 
     @pytest.mark.parametrize("per_region", [False, True])
     def test_refine_mode_none_keeps_every_pasted_pixel(self, frozen, images, per_region):
