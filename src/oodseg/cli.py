@@ -29,11 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import SCORERS, score_map, save_score_map
+from .estimators import HEAD_SCORERS, SCORERS, score_map, save_score_map
 from .head import HeadConfig, load_head, read_head_manifest, save_head
 from .losses import DegeneratePartitionError
 from .metrics import MetricInputError
-from .patches import PatchConfig
+from .patches import DonorTooSmallError, PatchConfig
 from .refine import EmptyPastedRegionError
 from .synthworld import (
     ArtifactError,
@@ -76,7 +76,6 @@ DEFAULT_CONFIG: dict = {
 }
 DEFAULT_CONFIG["data"] = {"train_scenes": 48, "eval_scenes": 16, "seed": 0}
 DEFAULT_CONFIG["frozen"] = {"feature_dim": 16, "fit_scenes": 100, "seed": 0}
-DEFAULT_CONFIG["train"]["timing"] = False  # CLI only: real ms in trainlog.csv
 
 
 def _merge_strict(base: dict, override: dict, path: str = "") -> None:
@@ -162,12 +161,14 @@ def _echo_config(config: dict, out_dir: Path) -> None:
 
 def _section(config: dict, name: str, **extra):
     """The dataclass of section ``name``; invalid values are config errors."""
-    cls = SECTIONS[name]
-    fields = {f.name for f in dataclasses.fields(cls)}
     try:
-        return cls(**{k: v for k, v in config[name].items() if k in fields}, **extra)
+        return SECTIONS[name](**config[name], **extra)
     except ValueError as exc:
         raise ConfigError(f"{name} config invalid: {exc}") from exc
+
+
+def _train_config(config: dict) -> TrainConfig:
+    return _section(config, "train", patch=_section(config, "patch"))
 
 
 def _gen_data(config: dict, out: Path) -> None:
@@ -213,7 +214,7 @@ def cmd_fit_frozen(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, args.set)
-    cfg = _section(config, "train", patch=_section(config, "patch"))  # before any file is read
+    cfg = _train_config(config)  # before any file is read
     images = load_train_images(args.data)
     frozen = load_frozen(args.frozen)
     head_cfg = _section(config, "head", feature_dim=frozen.feature_dim)
@@ -222,7 +223,7 @@ def cmd_train(args) -> int:
     head, log = train(images, frozen, cfg, head_cfg)
     digest = frozen_digest(frozen)
     save_head(head, out / "head", extra={"frozen_digest": digest})
-    write_trainlog_csv(log, out / "trainlog.csv", timing=config["train"]["timing"])
+    write_trainlog_csv(log, out / "trainlog.csv")
     (out / "frozen_digest.txt").write_text(digest + "\n")
     _echo_config(config, out)
     print(f"trained {cfg.iterations} iterations, {log.aborted} aborted; head -> {out / 'head'}")
@@ -244,6 +245,8 @@ def _load_matched_head(head_dir: str, frozen) -> "HeadParams":
 
 def cmd_score(args) -> int:
     _coerce("--lam", 0.5, args.lam)  # finite, before any file is touched
+    if args.head is None and args.scorer in HEAD_SCORERS:
+        raise ConfigError(f"--scorer {args.scorer} needs --head; without one, use a baseline scorer")
     frozen = load_frozen(args.frozen)
     head = _load_matched_head(args.head, frozen) if args.head else None
     image = read_ppm(args.image)
@@ -290,9 +293,8 @@ def _prepare_world(config: dict, out: Path):
     return load_train_images(data_dir), load_frozen(frozen_dir), load_eval_set(data_dir)
 
 
-def _train_arm(config: dict, images, frozen, **overrides) -> "HeadParams":
-    cfg = dataclasses.replace(_section(config, "train", patch=_section(config, "patch")), **overrides)
-    head, _ = train(images, frozen, cfg, _section(config, "head", feature_dim=frozen.feature_dim))
+def _train_arm(images, frozen, cfg: TrainConfig, head_cfg: HeadConfig) -> "HeadParams":
+    head, _ = train(images, frozen, cfg, head_cfg)
     return head
 
 
@@ -316,14 +318,19 @@ ABLATE_ARMS = {
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config, args.set)
+    base = _train_config(config)  # every section is checked before the world is built
+    head_cfg = _section(config, "head", feature_dim=config["frozen"]["feature_dim"])  # the world's
+    arms = {
+        arm: (None if overrides is None else dataclasses.replace(base, **overrides), scorer)
+        for arm, (overrides, scorer) in ABLATE_ARMS.items()
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     images, frozen, eval_set = _prepare_world(config, out)
-    lam = config["train"]["lam"]
     rows = {}
-    for arm, (overrides, scorer) in ABLATE_ARMS.items():
-        head = None if overrides is None else _train_arm(config, images, frozen, **overrides)
-        rows[arm] = (scorer, evaluate(head, frozen, eval_set, lam)[scorer])
+    for arm, (cfg, scorer) in arms.items():
+        head = None if cfg is None else _train_arm(images, frozen, cfg, head_cfg)
+        rows[arm] = (scorer, evaluate(head, frozen, eval_set, base.lam)[scorer])
     rows["margin_dynamic"] = rows["both"]  # same training, named for the margin table
     lines = ["arm,scorer,ap,auroc,fpr95,n_pos,n_neg"]
     for arm, (scorer, r) in rows.items():
@@ -332,27 +339,28 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-SWEEP_PARAMS = {"lambda": ("train", "lam"), "gamma": ("train", "gamma"), "patches": ("train", "n_patches")}
+SWEEP_PARAMS = {"lambda": "lam", "gamma": "gamma", "patches": "n_patches"}  # --param -> train key
 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config, args.set)
     if args.param not in SWEEP_PARAMS:
         raise ConfigError(f"--param must be one of {sorted(SWEEP_PARAMS)}, got {args.param!r}")
-    section, key = SWEEP_PARAMS[args.param]
-    runs = []
+    key = SWEEP_PARAMS[args.param]
+    head_cfg = _section(config, "head", feature_dim=config["frozen"]["feature_dim"])  # the world's
+    cfgs = []
     for raw in args.values:  # typed and checked like --set, before any work
         run_cfg = copy.deepcopy(config)
-        _merge_strict(run_cfg, _parse_set(f"{section}.{key}={raw}"))
-        runs.append(run_cfg)
+        _merge_strict(run_cfg, _parse_set(f"train.{key}={raw}"))
+        cfgs.append(_train_config(run_cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     images, frozen, eval_set = _prepare_world(config, out)
     lines = ["param,value,ap,auroc,fpr95"]
-    for run_cfg in runs:
-        head = _train_arm(run_cfg, images, frozen)
-        r = evaluate(head, frozen, eval_set, lam=run_cfg["train"]["lam"])["combined"]
-        lines.append(f"{args.param},{run_cfg[section][key]!r},{r.ap!r},{r.auroc!r},{r.fpr95!r}")
+    for cfg in cfgs:
+        head = _train_arm(images, frozen, cfg, head_cfg)
+        r = evaluate(head, frozen, eval_set, lam=cfg.lam)["combined"]
+        lines.append(f"{args.param},{getattr(cfg, key)!r},{r.ap!r},{r.auroc!r},{r.fpr95!r}")
     _write_grid(out, "sweep.csv", lines, frozen, config)
     return 0
 
@@ -419,7 +427,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BadValueError) as exc:
+    except (ConfigError, BadValueError, DonorTooSmallError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ArtifactError, TensorFormatError, NetpbmError, FileNotFoundError) as exc:

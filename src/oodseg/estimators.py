@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .head import HeadParams, head_forward
-from .tensorio import read_tensor, write_tensor
+from .tensorio import write_tensor
 
 @dataclass(frozen=True)
 class ScoreMap:
@@ -45,13 +45,12 @@ def jem_map(seg_logits: np.ndarray) -> np.ndarray:
     return -_logsumexp0(np.asarray(seg_logits, dtype=np.float64))
 
 
-def tae_log_prob_map(head_logits: np.ndarray, o: int) -> np.ndarray:
-    if o not in (0, 1):
-        raise ValueError(f"channel must be 0 or 1, got {o}")
+def tae_log_prob_map(head_logits: np.ndarray) -> np.ndarray:
+    """Binary log-probability of the anomalous head channel (channel 1)."""
     h = np.asarray(head_logits, dtype=np.float64)
     if h.shape[0] != 2:
         raise ValueError(f"head logits must have 2 channels, got {h.shape}")
-    return h[o] - _logsumexp0(h)
+    return h[1] - _logsumexp0(h)
 
 
 def tore_residual_map(head_logits: np.ndarray, seg_logits: np.ndarray) -> np.ndarray:
@@ -62,7 +61,7 @@ def tore_residual_map(head_logits: np.ndarray, seg_logits: np.ndarray) -> np.nda
 
 
 def combined_map(head_logits: np.ndarray, seg_logits: np.ndarray, lam: float = 0.5) -> np.ndarray:
-    return tae_log_prob_map(head_logits, 1) + lam * tore_residual_map(head_logits, seg_logits)
+    return tae_log_prob_map(head_logits) + lam * tore_residual_map(head_logits, seg_logits)
 
 
 def _softmax0(x: np.ndarray) -> np.ndarray:
@@ -89,7 +88,7 @@ def max_logit_map(seg_logits: np.ndarray) -> np.ndarray:
 # time, so a rebound module attribute reaches every caller.
 _HEAD_MAPS = {
     "combined": lambda hl, seg, lam: combined_map(hl, seg, lam),
-    "tae": lambda hl, seg, lam: tae_log_prob_map(hl, 1),
+    "tae": lambda hl, seg, lam: tae_log_prob_map(hl),
     "tore": lambda hl, seg, lam: tore_residual_map(hl, seg),
 }
 _SCORER_MAPS = {
@@ -150,15 +149,3 @@ def save_score_map(sm: ScoreMap, path: str | Path) -> None:
     write_tensor(path, sm.values)
     sidecar = path.with_suffix(path.suffix + ".txt")
     sidecar.write_text(f"scorer={sm.scorer}\nlambda={sm.lam!r}\n")
-
-
-def load_score_map(path: str | Path) -> ScoreMap:
-    path = Path(path)
-    values = read_tensor(path)
-    meta = {}
-    for line in path.with_suffix(path.suffix + ".txt").read_text().splitlines():
-        key, _, val = line.partition("=")
-        meta[key] = val
-    if meta.get("scorer") not in SCORERS:
-        raise ValueError(f"sidecar has unknown scorer {meta.get('scorer')!r}")
-    return ScoreMap(values=values, scorer=meta["scorer"], lam=float(meta["lambda"]))

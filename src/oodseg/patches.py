@@ -42,8 +42,10 @@ class PatchConfig:
     def __post_init__(self):
         if self.policy not in ("convex", "square"):
             raise ValueError(f"policy must be 'convex' or 'square', got {self.policy!r}")
-        if self.min_side < 1 or self.crop_min_div < self.crop_max_div:
+        if self.min_side < 1 or not self.crop_min_div >= self.crop_max_div >= 1:
             raise ValueError("crop bounds out of order")
+        if self.harris_nms_radius < 0:
+            raise ValueError(f"harris_nms_radius must be >= 0, got {self.harris_nms_radius}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ def luma(image: np.ndarray) -> np.ndarray:
 
 def _side_bounds(extent: int, cfg: PatchConfig) -> tuple[int, int]:
     lo = max(cfg.min_side, extent // cfg.crop_min_div)
-    hi = max(lo, min(extent // cfg.crop_max_div, extent))
+    hi = max(lo, extent // cfg.crop_max_div)
     return lo, hi
 
 

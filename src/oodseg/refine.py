@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+NUM_BINS = 256  # evenly spaced threshold candidates per search
 SEARCH_MODES = ("eq11", "otsu")
 MODES = (*SEARCH_MODES, "none")
 
@@ -52,16 +53,14 @@ def threshold_objective(scores, eta: float, mode: str = "eq11") -> float:
     return (hi.size * var_hi + lo.size * var_lo) / s.size
 
 
-def search_threshold(scores, num_bins: int = 256, mode: str = "eq11") -> float:
-    """Best threshold among ``num_bins`` evenly spaced candidates.
+def search_threshold(scores, mode: str = "eq11") -> float:
+    """Best threshold among ``NUM_BINS`` evenly spaced candidates.
 
     Ties go to the smallest candidate, which keeps the upper group as
     large as possible.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"mode must be one of {SEARCH_MODES}, got {mode!r}")
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
     s = np.asarray(scores, dtype=np.float64).ravel()
     if s.size == 0:
         raise EmptyPastedRegionError("cannot search threshold over an empty score set")
@@ -70,7 +69,7 @@ def search_threshold(scores, num_bins: int = 256, mode: str = "eq11") -> float:
     lo, hi = float(s.min()), float(s.max())
     if lo == hi:
         return lo
-    cands = np.linspace(lo, hi, num_bins)
+    cands = np.linspace(lo, hi, NUM_BINS)
     srt = np.sort(s)
     # center first: group variances from prefix sums of centered values stay
     # accurate even when the mean dwarfs the spread
@@ -97,7 +96,6 @@ def refine_partition(
     score_values: np.ndarray,
     pasted_mask: np.ndarray,
     mode: str = "eq11",
-    num_bins: int = 256,
     region_ids: np.ndarray | None = None,
     per_region: bool = False,
 ) -> PixelPartition:
@@ -126,12 +124,12 @@ def refine_partition(
         etas = {}
         for rid in np.unique(ids[pasted]):
             region = pasted & (ids == rid)
-            eta_r = search_threshold(scores[region], num_bins, mode)
+            eta_r = search_threshold(scores[region], mode)
             etas[int(rid)] = eta_r
             ood |= region & (scores >= eta_r)
         eta = float("nan")
     else:
-        eta = search_threshold(scores[pasted], num_bins, mode)
+        eta = search_threshold(scores[pasted], mode)
         ood = pasted & (scores >= eta)
     return PixelPartition(
         ood_mask=ood,

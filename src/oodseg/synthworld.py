@@ -176,10 +176,6 @@ class FrozenModel:
     def feature_dim(self) -> int:
         return self.projection.shape[0]
 
-    @property
-    def classes(self) -> int:
-        return self.dec_w.shape[0]
-
 
 def frozen_digest(model: FrozenModel) -> str:
     """Content digest over the serialized parameter tensors."""

@@ -2,9 +2,8 @@
 
 Two on-disk representations are used throughout:
 
-* TNSR, a small self-describing binary container for float arrays
-  (little-endian, rank 1..4, f32 or f64 payload).  In memory everything
-  is float64; f32 exists only as an on-disk option and is widened on read.
+* TNSR, a small self-describing binary container for float64 arrays
+  (little-endian, rank 1..4).
 * Binary netpbm (PPM ``P6`` for RGB, PGM ``P5`` for single-channel label
   and mask images), always with maxval 255.
 
@@ -24,8 +23,7 @@ IGNORE = 255
 
 TNSR_MAGIC = b"TNSR"
 TNSR_VERSION = 1
-_DTYPE_F32 = 0
-_DTYPE_F64 = 1
+_DTYPE_F64 = 1  # the one payload code; any other is UnsupportedDtypeError
 _MAX_RANK = 4
 _U64_MAX = 2**64 - 1
 
@@ -70,30 +68,20 @@ class ShortPayloadError(NetpbmError):
     pass
 
 
-def tensor_bytes(array: np.ndarray, dtype: str = "f64") -> bytes:
-    """Serialize an array to TNSR bytes.
-
-    ``dtype`` picks the payload width; "f32" is lossy for values that are
-    not exactly representable in single precision.
-    """
+def tensor_bytes(array: np.ndarray) -> bytes:
+    """Serialize an array to float64 TNSR bytes."""
     a = np.asarray(array, dtype=np.float64)
     if a.ndim < 1 or a.ndim > _MAX_RANK:
         raise TensorFormatError(f"rank must be 1..{_MAX_RANK}, got {a.ndim}")
     if any(d <= 0 for d in a.shape):
         raise TensorFormatError(f"dims must be positive, got {a.shape}")
-    if dtype == "f64":
-        code, payload = _DTYPE_F64, a.astype("<f8").tobytes()
-    elif dtype == "f32":
-        code, payload = _DTYPE_F32, a.astype("<f4").tobytes()
-    else:
-        raise UnsupportedDtypeError(f"dtype must be 'f32' or 'f64', got {dtype!r}")
-    header = TNSR_MAGIC + struct.pack("<IBB", TNSR_VERSION, code, a.ndim)
+    header = TNSR_MAGIC + struct.pack("<IBB", TNSR_VERSION, _DTYPE_F64, a.ndim)
     dims = struct.pack(f"<{a.ndim}Q", *a.shape)
-    return header + dims + payload
+    return header + dims + a.astype("<f8").tobytes()
 
 
 def tensor_from_bytes(blob: bytes) -> np.ndarray:
-    """Parse TNSR bytes into a float64 array (f32 payloads are widened)."""
+    """Parse TNSR bytes into a float64 array."""
     if len(blob) < 4 or blob[:4] != TNSR_MAGIC:
         raise BadMagicError("not a TNSR blob")
     if len(blob) < 10:
@@ -101,7 +89,7 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
     version, code, rank = struct.unpack_from("<IBB", blob, 4)
     if version != TNSR_VERSION:
         raise TensorFormatError(f"unsupported version {version}")
-    if code not in (_DTYPE_F32, _DTYPE_F64):
+    if code != _DTYPE_F64:
         raise UnsupportedDtypeError(f"unknown dtype code {code}")
     if rank < 1 or rank > _MAX_RANK:
         raise TensorFormatError(f"rank must be 1..{_MAX_RANK}, got {rank}")
@@ -117,17 +105,15 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
         count *= d
         if count > _U64_MAX:
             raise DimOverflowError(f"element count overflows u64: {dims}")
-    itemsize = 4 if code == _DTYPE_F32 else 8
-    need = count * itemsize
+    need = count * 8
     if len(blob) - off < need:
         raise TruncatedPayloadError(f"payload needs {need} bytes, have {len(blob) - off}")
-    kind = "<f4" if code == _DTYPE_F32 else "<f8"
-    flat = np.frombuffer(blob, dtype=kind, count=count, offset=off)
+    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
     return flat.astype(np.float64).reshape(dims)
 
 
-def write_tensor(path: str | Path, array: np.ndarray, dtype: str = "f64") -> None:
-    Path(path).write_bytes(tensor_bytes(array, dtype))
+def write_tensor(path: str | Path, array: np.ndarray) -> None:
+    Path(path).write_bytes(tensor_bytes(array))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

@@ -98,7 +98,7 @@ class LogRecord:
     n_ood: int
     n_ignored: int
     eta: float
-    ms: float
+    ms: float  # iteration wall time; trainlog.csv writes 0 in its place
 
 
 @dataclass
@@ -295,15 +295,13 @@ def evaluate(
 
 
 # ---------------------------------------------------------------------------
-# CSV emission.  Timing is suppressed by default (ms column written as 0)
-# so that identical config + seed yields byte-identical logs; pass
-# timing=True to record real wall-clock milliseconds.
+# CSV emission.  The ms column is always 0, so that identical config + seed
+# yields byte-identical logs.
 
-def write_trainlog_csv(log: TrainLog, path: str | Path, timing: bool = False) -> None:
+def write_trainlog_csv(log: TrainLog, path: str | Path) -> None:
     lines = ["iter,l_a,l_o,n_ood,n_ignored,eta,ms"]
     for r in log.records:
-        ms = repr(round(r.ms, 3)) if timing else "0"
-        lines.append(f"{r.iteration},{r.l_a!r},{r.l_o!r},{r.n_ood},{r.n_ignored},{r.eta!r},{ms}")
+        lines.append(f"{r.iteration},{r.l_a!r},{r.l_o!r},{r.n_ood},{r.n_ignored},{r.eta!r},0")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

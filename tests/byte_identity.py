@@ -1,6 +1,6 @@
 """Seeded run of every CLI subcommand, for byte-identity checks between trees.
 
-Runs gen-data, fit-frozen, six train variants, eval with and without a
+Runs gen-data, fit-frozen, seven train variants, eval with and without a
 head, score for every scorer plus a heatmap, ablate, and sweeps over
 patches, gamma and lambda, all on one small seeded config.  Everything
 lands under OUT, so two source trees compare with one ``diff -r``:
@@ -44,6 +44,8 @@ TRAIN_VARIANTS = {
     "polygons": ["--set", "patch.harris_thresh_frac=1e-4", "--set", "patch.harris_nms_radius=1"],
     # 3x3 kernels take the im2col path (_cols/_uncols) that 1x1 kernels skip
     "kernel3": ["--set", "head.kernel_size=3"],
+    # the default policy never takes build_patches' square-policy branch
+    "square": ["--set", "patch.policy=square"],
 }
 
 SWEEPS = {"patches": ["3", "5"], "gamma": ["5", "15"], "lambda": ["0.25", "1"]}

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from oodseg.cli import ConfigError, DEFAULT_CONFIG, SECTIONS, _section, load_config, main
-from oodseg.estimators import load_score_map
 from oodseg.tensorio import read_pgm, read_tensor, write_tensor
 
 TINY = [
@@ -148,7 +147,7 @@ def _assert_is_default(config):
 class TestSchemaRoundTrip:
     def test_every_key_round_trips_through_set(self):
         sets = [f"{section}.{key}={_text(v)}" for section, keys in DEFAULT_CONFIG.items() for key, v in keys.items()]
-        assert len(sets) == 39
+        assert len(sets) == 38
         _assert_is_default(load_config(None, sets))
 
     def test_every_key_round_trips_through_json(self, tmp_path):
@@ -165,10 +164,10 @@ class TestSchemaRoundTrip:
 
     def test_every_dataclass_field_is_settable(self):
         # feature_dim comes from the frozen model, train.patch from the patch section
-        supplied = {("head", "feature_dim"), ("train", "patch")}
+        supplied = {"head": {"feature_dim"}, "train": {"patch"}}
         for section, cls in SECTIONS.items():
-            for f in dataclasses.fields(cls):
-                assert f.name in DEFAULT_CONFIG[section] or (section, f.name) in supplied, f"{section}.{f.name}"
+            fields = {f.name for f in dataclasses.fields(cls)} - supplied.get(section, set())
+            assert set(DEFAULT_CONFIG[section]) == fields, section  # no key beside the fields
 
 
 class TestPipeline:
@@ -211,9 +210,8 @@ class TestPipeline:
             ]
         )
         assert rc == 0
-        sm = load_score_map(out)
-        assert sm.scorer == "combined"
-        assert sm.values.shape == (32, 32)
+        assert read_tensor(out).shape == (32, 32)
+        assert (tmp_path / "map.tnsr.txt").read_text() == "scorer=combined\nlambda=0.5\n"
         img = read_pgm(heat)
         assert img.shape == (32, 32) and img.dtype == np.uint8
 
@@ -229,7 +227,8 @@ class TestPipeline:
             ]
         )
         assert rc == 0
-        assert load_score_map(out).scorer == "jem"
+        assert read_tensor(out).shape == (32, 32)
+        assert (tmp_path / "jem.tnsr.txt").read_text() == "scorer=jem\nlambda=0.5\n"
 
     def test_eval_with_head(self, pipeline, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -293,6 +292,7 @@ class TestExitCodes:
                 "--frozen", str(pipeline / "frozen"),
                 "--image", str(tmp_path / "missing.ppm"),
                 "--out", str(tmp_path / "s.tnsr"),
+                "--scorer", "jem",  # a head scorer without --head would exit 2 first
             ]
         )
         assert rc == 3
@@ -397,6 +397,13 @@ class TestExitCodes:
             ["train", "--set", "train.lr=nan", "--data", "d", "--frozen", "f"],
             ["eval", "--lam", "nan", "--frozen", "f", "--data", "d"],
             ["score", "--lam", "inf", "--frozen", "f", "--image", "i.ppm"],
+            ["score", "--frozen", "f", "--image", "i.ppm"],  # the default scorer needs --head
+            ["train", "--set", "patch.crop_max_div=0", "--data", "DATA", "--frozen", "FROZEN"],
+            ["train", "--set", "patch.harris_nms_radius=-1", "--data", "DATA", "--frozen", "FROZEN"],
+            ["train", "--set", "patch.min_side=100", "--data", "DATA", "--frozen", "FROZEN"],  # 32x32 donors
+            ["ablate", "--set", "train.seed=-1"],
+            ["sweep", "--set", "head.blocks=0", "--param", "gamma", "--values", "5"],
+            ["sweep", "--param", "gamma", "--values", "-5"],
         ],
         ids=[
             "train_scenes",
@@ -412,15 +419,26 @@ class TestExitCodes:
             "train_nan",
             "eval_lam_nan",
             "score_lam_inf",
+            "score_no_head",
+            "crop_max_div",
+            "nms_radius",
+            "min_side",
+            "ablate_train_seed",
+            "sweep_head_blocks",
+            "sweep_gamma",
         ],
     )
-    def test_bad_value_is_2(self, tmp_path, argv):
+    def test_bad_value_is_2(self, pipeline, tmp_path, argv):
         # TINY first, so that a value wrongly accepted costs a tiny run, not a desk-size one;
         # eval and score take no config.  Their missing inputs would exit 3 if read.
+        # DATA and FROZEN name the pipeline's world, for values only training can reach.
+        world = {"DATA": str(pipeline / "data"), "FROZEN": str(pipeline / "frozen")}
         tiny = [] if argv[0] in ("eval", "score") else TINY
+        argv = [world.get(a, a) for a in argv]
         assert main([argv[0], *tiny, *argv[1:], "--out", str(tmp_path / "o")]) == 2
         if argv[0] in ("eval", "score"):
             assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "o" / "data").exists()  # ablate and sweep check before building a world
 
     @pytest.mark.parametrize(
         "key",
@@ -433,10 +451,11 @@ class TestExitCodes:
             "patch.harris_k",
             "patch.harris_sigma",
             "frozen.ridge_lambda",
+            "train.timing",
         ],
     )
     def test_removed_key_is_unknown(self, tmp_path, capsys, key):
-        # these were settable once; each is now a constant of the program
+        # these were settable once; each is now a constant of the program, or gone
         section, name = key.split(".")
         config = tmp_path / "c.json"
         config.write_text(json.dumps({section: {name: 1}}))

@@ -16,7 +16,6 @@ from oodseg.estimators import (
     combined_map,
     entropy_map,
     jem_map,
-    load_score_map,
     max_logit_map,
     msp_map,
     save_score_map,
@@ -25,6 +24,7 @@ from oodseg.estimators import (
     tore_residual_map,
 )
 from oodseg.head import HeadConfig, head_init
+from oodseg.tensorio import read_tensor
 
 
 def px(values):
@@ -43,11 +43,12 @@ class TestFrozenValues:
         assert at(jem_map(px([1.0, 2.0, 3.0]))) == pytest.approx(-3.4076059644443806, abs=1e-14)
 
     def test_tae_both_channels(self):
-        assert at(tae_log_prob_map(px([1.0, 3.0]), 1)) == pytest.approx(-0.1269280110429727, abs=1e-15)
-        assert at(tae_log_prob_map(px([1.0, 3.0]), 0)) == pytest.approx(-2.1269280110429727, abs=1e-15)
+        assert at(tae_log_prob_map(px([1.0, 3.0]))) == pytest.approx(-0.1269280110429727, abs=1e-15)
+        # channel 0's log-prob is channel 1's with the channels swapped
+        assert at(tae_log_prob_map(px([3.0, 1.0]))) == pytest.approx(-2.1269280110429727, abs=1e-15)
         # the two channel log-probs always exponentiate to 1
-        p0 = math.exp(at(tae_log_prob_map(px([1.0, 3.0]), 0)))
-        p1 = math.exp(at(tae_log_prob_map(px([1.0, 3.0]), 1)))
+        p0 = math.exp(at(tae_log_prob_map(px([3.0, 1.0]))))
+        p1 = math.exp(at(tae_log_prob_map(px([1.0, 3.0]))))
         assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
 
     def test_tore_is_head1_plus_jem(self):
@@ -103,13 +104,9 @@ class TestInvariants:
 
 
 class TestValidation:
-    def test_tae_channel_checked(self):
-        with pytest.raises(ValueError):
-            tae_log_prob_map(px([1.0, 2.0]), 2)
-
     def test_head_logits_need_two_channels(self):
         with pytest.raises(ValueError):
-            tae_log_prob_map(np.zeros((3, 2, 2)), 1)
+            tae_log_prob_map(np.zeros((3, 2, 2)))
         with pytest.raises(ValueError):
             tore_residual_map(np.zeros((3, 2, 2)), np.zeros((4, 2, 2)))
 
@@ -155,15 +152,5 @@ class TestWithHead:
         head, feats, seg = self._setup()
         sm = score_map(head, feats, seg, lam=0.25, scorer="tore")
         save_score_map(sm, tmp_path / "map.tnsr")
-        back = load_score_map(tmp_path / "map.tnsr")
-        assert back.scorer == "tore"
-        assert back.lam == 0.25
-        np.testing.assert_array_equal(back.values, sm.values)
-
-    def test_load_rejects_bad_sidecar(self, tmp_path):
-        head, feats, seg = self._setup()
-        sm = score_map(head, feats, seg)
-        save_score_map(sm, tmp_path / "map.tnsr")
-        (tmp_path / "map.tnsr.txt").write_text("scorer=bogus\nlambda=0.5\n")
-        with pytest.raises(ValueError):
-            load_score_map(tmp_path / "map.tnsr")
+        np.testing.assert_array_equal(read_tensor(tmp_path / "map.tnsr"), sm.values)
+        assert (tmp_path / "map.tnsr.txt").read_text() == "scorer=tore\nlambda=0.25\n"

@@ -380,7 +380,13 @@ class TestConfigValidation:
     def test_crop_bounds_order(self):
         with pytest.raises(ValueError):
             PatchConfig(crop_min_div=2, crop_max_div=8)
+        with pytest.raises(ValueError):
+            PatchConfig(crop_max_div=0)  # a divisor of the donor extent
 
     def test_min_side(self):
         with pytest.raises(ValueError):
             PatchConfig(min_side=0)
+
+    def test_nms_radius(self):
+        with pytest.raises(ValueError):
+            PatchConfig(harris_nms_radius=-1)

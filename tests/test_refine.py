@@ -94,8 +94,6 @@ class TestSearchThreshold:
         with pytest.raises(ValueError):
             search_threshold([1.0, np.nan])
         with pytest.raises(ValueError):
-            search_threshold([1.0, 2.0], num_bins=0)
-        with pytest.raises(ValueError):
             search_threshold([1.0, 2.0], mode="grid")
 
 

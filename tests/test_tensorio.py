@@ -35,22 +35,10 @@ class TestTensorRoundTrip:
         rng = np.random.default_rng(0)
         for shape in [(3,), (2, 5), (4, 3, 2), (2, 2, 2, 2)]:
             a = rng.standard_normal(shape)
-            b = tensor_from_bytes(tensor_bytes(a, "f64"))
+            b = tensor_from_bytes(tensor_bytes(a))
             assert b.dtype == np.float64
             assert b.shape == a.shape
             np.testing.assert_array_equal(a, b)
-
-    def test_f32_widened_on_read(self):
-        a = np.array([1.0, 2.5, -3.25])  # exactly representable in f32
-        b = tensor_from_bytes(tensor_bytes(a, "f32"))
-        assert b.dtype == np.float64
-        np.testing.assert_array_equal(a, b)
-
-    def test_f32_is_lossy(self):
-        a = np.array([0.1])
-        b = tensor_from_bytes(tensor_bytes(a, "f32"))
-        assert b[0] != 0.1
-        assert abs(b[0] - 0.1) < 1e-7
 
     def test_file_round_trip(self, tmp_path):
         a = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
@@ -77,10 +65,6 @@ class TestTensorErrors:
         with pytest.raises(TensorFormatError):
             tensor_bytes(np.zeros((1, 1, 1, 1, 1)))  # rank 5
 
-    def test_bad_dtype_name(self):
-        with pytest.raises(UnsupportedDtypeError):
-            tensor_bytes(np.zeros(3), dtype="f16")
-
     def test_bad_magic(self):
         with pytest.raises(BadMagicError):
             tensor_from_bytes(b"NOPE" + b"\x00" * 32)
@@ -100,10 +84,11 @@ class TestTensorErrors:
             tensor_from_bytes(blob[:-1])
 
     def test_unknown_dtype_code(self):
-        blob = bytearray(tensor_bytes(np.zeros(2)))
-        blob[8] = 7
-        with pytest.raises(UnsupportedDtypeError):
-            tensor_from_bytes(bytes(blob))
+        for code in (0, 7):  # 0 was float32, which TNSR no longer stores
+            blob = bytearray(tensor_bytes(np.zeros(2)))
+            blob[8] = code
+            with pytest.raises(UnsupportedDtypeError):
+                tensor_from_bytes(bytes(blob))
 
     def test_unknown_version(self):
         blob = bytearray(tensor_bytes(np.zeros(2)))

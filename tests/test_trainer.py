@@ -296,16 +296,13 @@ class TestCsvEmission:
     def test_trainlog_schema_and_timing_suppression(self, frozen, images, tmp_path):
         _, log = train(images, frozen, tiny_cfg(iterations=3), head_config=HEAD_CFG)
         plain = tmp_path / "plain.csv"
-        timed = tmp_path / "timed.csv"
         write_trainlog_csv(log, plain)
-        write_trainlog_csv(log, timed, timing=True)
         lines = plain.read_text().splitlines()
         assert lines[0] == "iter,l_a,l_o,n_ood,n_ignored,eta,ms"
         assert len(lines) == 1 + len(log.records)
+        assert all(r.ms > 0.0 for r in log.records)  # timed in memory, written as 0
         for line in lines[1:]:
             assert line.split(",")[6] == "0"
-        timed_lines = timed.read_text().splitlines()
-        assert all(float(l.split(",")[6]) > 0.0 for l in timed_lines[1:])
         # every float is emitted via repr and parses back exactly
         rec = log.records[0]
         row = lines[1].split(",")
