@@ -7,8 +7,9 @@ dataset, ``fit-frozen`` fits and stores the frozen encoder/decoder,
 a JSON file validated strictly against the default schema (unknown keys
 are rejected), with ``--set section.key=value`` overrides.  The schema's
 ``scene``, ``head``, ``train`` and ``patch`` sections are the fields of
-the matching config dataclasses.  Every run directory receives the
-effective config and, where a frozen model is involved, its digest.
+the matching config dataclasses.  Once a command has its results, its run
+directory receives the config sections (or, for ``eval``, the arguments) it
+read and, where a frozen model was used, that model's digest.
 
 Exit codes: 0 success, 2 configuration error, 3 missing or corrupt
 artifact, 4 run failure (degenerate training or evaluation), 1 unexpected
@@ -21,6 +22,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -31,10 +33,8 @@ import numpy as np
 
 from .estimators import HEAD_SCORERS, SCORERS, score_map, save_score_map
 from .head import HeadConfig, load_head, read_head_manifest, save_head
-from .losses import DegeneratePartitionError
 from .metrics import MetricInputError
 from .patches import DonorTooSmallError, PatchConfig
-from .refine import EmptyPastedRegionError
 from .synthworld import (
     ArtifactError,
     BadValueError,
@@ -154,9 +154,15 @@ def load_config(path: str | None, sets: list[str]) -> dict:
     return config
 
 
-def _echo_config(config: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+def _record_run(out: Path, record: dict, frozen: FrozenModel | None = None) -> str:
+    """Write ``config.json`` (what the command read) and, where a frozen model
+    was used, ``frozen_digest.txt``; returns the SHA-256 of ``config.json``."""
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(text)
+    if frozen is not None:
+        (out / "frozen_digest.txt").write_text(frozen_digest(frozen) + "\n")
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _section(config: dict, name: str, **extra):
@@ -198,7 +204,7 @@ def cmd_gen_data(args) -> int:
     config = load_config(args.config, args.set)
     out = Path(args.out)
     _gen_data(config, out)
-    _echo_config(config, out)
+    _record_run(out, {k: config[k] for k in ("scene", "data")})
     return 0
 
 
@@ -206,9 +212,9 @@ def cmd_fit_frozen(args) -> int:
     config = load_config(args.config, args.set)
     out = Path(args.out)
     model = _fit_frozen(config, out)
-    _echo_config(config, out)
     acc = decoder_accuracy(model, _section(config, "scene"))
     print(f"frozen model {frozen_digest(model)[:12]} decoder accuracy {acc:.4f}")
+    _record_run(out, {k: config[k] for k in ("scene", "frozen")})
     return 0
 
 
@@ -218,21 +224,25 @@ def cmd_train(args) -> int:
     images = load_train_images(args.data)
     frozen = load_frozen(args.frozen)
     head_cfg = _section(config, "head", feature_dim=frozen.feature_dim)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     head, log = train(images, frozen, cfg, head_cfg)
-    digest = frozen_digest(frozen)
-    save_head(head, out / "head", extra={"frozen_digest": digest})
+    out = Path(args.out)
+    config_sha = _record_run(out, {k: config[k] for k in ("head", "train", "patch")}, frozen)
+    manifest = {"frozen_digest": frozen_digest(frozen), "lam": repr(cfg.lam), "train_config": config_sha}
+    save_head(head, out / "head", extra=manifest)
     write_trainlog_csv(log, out / "trainlog.csv")
-    (out / "frozen_digest.txt").write_text(digest + "\n")
-    _echo_config(config, out)
     print(f"trained {cfg.iterations} iterations, {log.aborted} aborted; head -> {out / 'head'}")
     return 0
 
 
-def _load_matched_head(head_dir: str, frozen) -> "HeadParams":
+def _load_matched_head(head_dir: str | None, frozen, lam: float | None):
+    """(head, λ): the head under ``head_dir``, or None without one, and the
+    λ to score with: ``lam`` if given, else the λ the head was trained with.
+    A head written before λ was recorded, or no head, scores at 0.5."""
+    if head_dir is None:
+        return None, 0.5 if lam is None else lam
     head = load_head(head_dir)
-    recorded = read_head_manifest(head_dir).get("frozen_digest")
+    meta = read_head_manifest(head_dir)
+    recorded = meta.get("frozen_digest")
     if recorded is None:
         raise ArtifactError(f"head checkpoint under {head_dir} records no frozen_digest")
     if recorded != frozen_digest(frozen):
@@ -240,45 +250,47 @@ def _load_matched_head(head_dir: str, frozen) -> "HeadParams":
             f"head checkpoint was trained against frozen model {recorded[:12]}, "
             f"got {frozen_digest(frozen)[:12]}"
         )
-    return head
+    head_lam = math.nan
+    with contextlib.suppress(ValueError):
+        head_lam = float(meta.get("lam", "0.5"))
+    if not math.isfinite(head_lam):
+        raise ArtifactError(f"head under {head_dir} records lam={meta['lam']}, not a finite number")
+    return head, head_lam if lam is None else lam
 
 
 def cmd_score(args) -> int:
-    _coerce("--lam", 0.5, args.lam)  # finite, before any file is touched
+    if args.lam is not None:
+        _coerce("--lam", 0.5, args.lam)  # finite, before any file is touched
     if args.head is None and args.scorer in HEAD_SCORERS:
         raise ConfigError(f"--scorer {args.scorer} needs --head; without one, use a baseline scorer")
     frozen = load_frozen(args.frozen)
-    head = _load_matched_head(args.head, frozen) if args.head else None
+    head, lam = _load_matched_head(args.head, frozen, args.lam)
     image = read_ppm(args.image)
     from .synthworld import frozen_encoder, seg_logits_map
 
     feats = frozen_encoder(frozen, image)
     seg = seg_logits_map(frozen, feats)
-    sm = score_map(head, feats, seg, lam=args.lam, scorer=args.scorer)
+    values = score_map(head, feats, seg, lam=lam, scorer=args.scorer)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_score_map(sm, out)
+    save_score_map(out, values, args.scorer, lam)
     if args.heatmap:
-        lo, hi = sm.values.min(), sm.values.max()
-        norm = (sm.values - lo) / (hi - lo) if hi > lo else np.zeros_like(sm.values)
+        lo, hi = values.min(), values.max()
+        norm = (values - lo) / (hi - lo) if hi > lo else np.zeros_like(values)
         write_pgm(args.heatmap, np.clip(np.rint(255.0 * norm), 0, 255).astype(np.uint8))
     return 0
 
 
 def cmd_eval(args) -> int:
-    _coerce("--lam", 0.5, args.lam)  # finite, before any file is touched
+    if args.lam is not None:
+        _coerce("--lam", 0.5, args.lam)  # finite, before any file is touched
     frozen = load_frozen(args.frozen)
-    head = _load_matched_head(args.head, frozen) if args.head else None
+    head, lam = _load_matched_head(args.head, frozen, args.lam)
     eval_set = load_eval_set(args.data)
-    results = evaluate(head, frozen, eval_set, lam=args.lam)
+    results = evaluate(head, frozen, eval_set, lam=lam)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _record_run(out, {"lam": lam, "head": args.head, "frozen": args.frozen, "data": args.data}, frozen)
     write_eval_csv(results, out / "eval.csv")
-    (out / "frozen_digest.txt").write_text(frozen_digest(frozen) + "\n")
-    (out / "config.json").write_text(
-        json.dumps({"lam": args.lam, "head": args.head, "frozen": args.frozen, "data": args.data}, indent=2)
-        + "\n"
-    )
     for name, r in results.items():
         print(f"{name}: ap={r.ap:.4f} auroc={r.auroc:.4f} fpr95={r.fpr95:.4f}")
     return 0
@@ -300,10 +312,8 @@ def _train_arm(images, frozen, cfg: TrainConfig, head_cfg: HeadConfig) -> "HeadP
 
 def _write_grid(out: Path, name: str, lines: list[str], frozen: FrozenModel, config: dict) -> None:
     (out / name).write_text("\n".join(lines) + "\n")
-    (out / "frozen_digest.txt").write_text(frozen_digest(frozen) + "\n")
-    _echo_config(config, out)
-    for line in lines:
-        print(line)
+    _record_run(out, config, frozen)  # the grids read all six sections
+    print("\n".join(lines))
 
 
 # arm -> (TrainConfig overrides, or None for no head; the scorer its row reports)
@@ -325,7 +335,6 @@ def cmd_ablate(args) -> int:
         for arm, (overrides, scorer) in ABLATE_ARMS.items()
     }
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     images, frozen, eval_set = _prepare_world(config, out)
     rows = {}
     for arm, (cfg, scorer) in arms.items():
@@ -354,7 +363,6 @@ def cmd_sweep(args) -> int:
         _merge_strict(run_cfg, _parse_set(f"train.{key}={raw}"))
         cfgs.append(_train_config(run_cfg))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     images, frozen, eval_set = _prepare_world(config, out)
     lines = ["param,value,ap,auroc,fpr95"]
     for cfg in cfgs:
@@ -396,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--scorer", default="combined", choices=SCORERS)
-    p.add_argument("--lam", type=float, default=0.5)
+    p.add_argument("--lam", type=float, default=None, help="default: the head's training lam, else 0.5")
     p.add_argument("--heatmap", default=None, help="optional PGM visualization")
     p.set_defaults(func=cmd_score)
 
@@ -405,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frozen", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lam", type=float, default=0.5)
+    p.add_argument("--lam", type=float, default=None, help="default: the head's training lam, else 0.5")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="estimator and margin ablation grid")
@@ -433,13 +441,7 @@ def main(argv=None) -> int:
     except (ArtifactError, TensorFormatError, NetpbmError, FileNotFoundError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 3
-    except (
-        TrainingAbortedError,
-        TrainingDivergedError,
-        DegeneratePartitionError,
-        EmptyPastedRegionError,
-        MetricInputError,
-    ) as exc:
+    except (TrainingAbortedError, TrainingDivergedError, MetricInputError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 4
     except Exception:  # noqa: BLE001 - last-resort diagnostic

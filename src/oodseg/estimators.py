@@ -19,19 +19,12 @@ higher always means more anomalous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .head import HeadParams, head_forward
 from .tensorio import write_tensor
-
-@dataclass(frozen=True)
-class ScoreMap:
-    values: np.ndarray  # [H, W] float64
-    scorer: str
-    lam: float
 
 
 def _logsumexp0(x: np.ndarray) -> np.ndarray:
@@ -126,8 +119,8 @@ def score_map(
     seg_logits: np.ndarray,
     lam: float = 0.5,
     scorer: str = "combined",
-) -> ScoreMap:
-    """Per-pixel score map for one scorer; eval-mode head, frozen inputs."""
+) -> np.ndarray:
+    """[H, W] score map for one scorer; eval-mode head, frozen inputs."""
     if scorer not in SCORERS:
         raise ValueError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")
     seg = np.asarray(seg_logits, dtype=np.float64)
@@ -140,12 +133,11 @@ def score_map(
         hl, _ = head_forward(head, features, mode="eval")
         if hl.shape[1:] != seg.shape[1:]:
             raise ValueError(f"head/seg spatial mismatch: {hl.shape} vs {seg.shape}")
-    return ScoreMap(values=_SCORER_MAPS[scorer](hl, seg, lam), scorer=scorer, lam=lam)
+    return _SCORER_MAPS[scorer](hl, seg, lam)
 
 
-def save_score_map(sm: ScoreMap, path: str | Path) -> None:
+def save_score_map(path: str | Path, values: np.ndarray, scorer: str, lam: float) -> None:
     """TNSR values plus a text sidecar recording scorer and lambda."""
     path = Path(path)
-    write_tensor(path, sm.values)
-    sidecar = path.with_suffix(path.suffix + ".txt")
-    sidecar.write_text(f"scorer={sm.scorer}\nlambda={sm.lam!r}\n")
+    write_tensor(path, values)
+    path.with_suffix(path.suffix + ".txt").write_text(f"scorer={scorer}\nlambda={lam!r}\n")

@@ -99,7 +99,7 @@ def sample_candidates(
         di = int(rng.integers(len(donor_images)))
         h_img, w_img = donor_images[di].shape[:2]
         if min(h_img, w_img) < cfg.min_side:
-            raise DonorTooSmallError(f"donor {di} is {h_img}x{w_img}, need >= {cfg.min_side}")
+            raise DonorTooSmallError(f"donor {di} is {h_img}x{w_img}, smaller than min_side={cfg.min_side}")
         h_lo, h_hi = _side_bounds(h_img, cfg)
         w_lo, w_hi = _side_bounds(w_img, cfg)
         ph = int(rng.integers(h_lo, h_hi + 1))

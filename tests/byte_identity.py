@@ -2,8 +2,11 @@
 
 Runs gen-data, fit-frozen, seven train variants, eval with and without a
 head, score for every scorer plus a heatmap, ablate, and sweeps over
-patches, gamma and lambda, all on one small seeded config.  Everything
-lands under OUT, so two source trees compare with one ``diff -r``:
+patches, gamma and lambda, all on one small seeded config.  Two more
+gen-data steps write a larger dataset into ``regen`` and then a smaller one
+over it, so the removal of an earlier export's extra scene files and the
+diamond anomaly shape (first drawn by eval scene 4) reach the bytes.
+Everything lands under OUT, so two source trees compare with one ``diff -r``:
 
     python tests/byte_identity.py /tmp/a --src /path/to/tree_a/src
     python tests/byte_identity.py /tmp/b --src /path/to/tree_b/src
@@ -58,6 +61,10 @@ def steps() -> list[tuple[str, list[str]]]:
     out = [
         ("gen-data", ["gen-data", *SMALL, "--out", "data"]),
         ("fit-frozen", ["fit-frozen", *SMALL, "--out", "frozen"]),
+        # the smaller export deletes train scenes 8-9 and eval scene 5, and keeps eval scene 4
+        ("gen-data-larger", ["gen-data", *SMALL, "--set", "data.train_scenes=10", "--set", "data.eval_scenes=6",
+                             "--out", "regen"]),
+        ("gen-data-smaller", ["gen-data", *SMALL, "--set", "data.eval_scenes=5", "--out", "regen"]),
     ]
     for name, sets in TRAIN_VARIANTS.items():
         out.append((f"train-{name}", ["train", *SMALL, *sets, *world, "--out", f"train_{name}"]))

@@ -1,6 +1,7 @@
 """CLI tests: config handling, exit codes, and a tiny end-to-end pipeline."""
 
 import dataclasses
+import hashlib
 import json
 import shutil
 
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 from oodseg.cli import ConfigError, DEFAULT_CONFIG, SECTIONS, _section, load_config, main
+from oodseg.head import load_head
+from oodseg.synthworld import load_eval_set, load_frozen
 from oodseg.tensorio import read_pgm, read_tensor, write_tensor
+from oodseg.trainer import evaluate, write_eval_csv
 
 TINY = [
     "--set", "scene.height=32",
@@ -263,6 +267,54 @@ class TestPipeline:
         lines = (out / "eval.csv").read_text().splitlines()
         assert [l.split(",")[0] for l in lines[1:]] == ["jem", "msp", "entropy", "max_logit"]
 
+    def test_each_command_records_the_sections_it_read(self, pipeline, tmp_path):
+        def record(run_dir):
+            text = (run_dir / "config.json").read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+            return json.loads(text)
+
+        config = load_config(None, TINY[1::2])  # the SECTION.KEY=VALUE items
+        assert record(pipeline / "data") == {k: config[k] for k in ("scene", "data")}
+        assert record(pipeline / "frozen") == {k: config[k] for k in ("scene", "frozen")}
+        assert record(pipeline / "run") == {k: config[k] for k in ("head", "train", "patch")}
+        args = ["--frozen", str(pipeline / "frozen"), "--data", str(pipeline / "data")]
+        assert main(["eval", *args, "--out", str(tmp_path / "e")]) == 0
+        assert record(tmp_path / "e") == {"lam": 0.5, "head": None, "frozen": args[1], "data": args[3]}
+        sweep = [*TINY, "--set", "train.iterations=2"]
+        assert main(["sweep", *sweep, "--out", str(tmp_path / "s"), "--param", "gamma", "--values", "5"]) == 0
+        assert record(tmp_path / "s") == load_config(None, sweep[1::2])  # all six sections
+
+    def test_eval_and_score_default_to_the_heads_lam(self, pipeline, tmp_path):
+        world = ["--data", str(pipeline / "data"), "--frozen", str(pipeline / "frozen")]
+        run = tmp_path / "run"
+        assert main(["train", *TINY, "--set", "train.lam=0.25", *world, "--out", str(run)]) == 0
+        manifest = (run / "head" / "head.txt").read_text().splitlines()
+        assert manifest[-2:] == [
+            "lam=0.25",
+            "train_config=" + hashlib.sha256((run / "config.json").read_bytes()).hexdigest(),
+        ]
+        head = ["--head", str(run / "head"), "--frozen", str(pipeline / "frozen")]
+        assert main(["eval", *head, "--data", str(pipeline / "data"), "--out", str(tmp_path / "e")]) == 0
+        trained, frozen = load_head(run / "head"), load_frozen(pipeline / "frozen")
+        eval_set = load_eval_set(pipeline / "data")
+        results = evaluate(trained, frozen, eval_set, lam=0.25)
+        assert results != evaluate(trained, frozen, eval_set, lam=0.5)  # the fixture tells the two apart
+        write_eval_csv(results, tmp_path / "expected.csv")
+        expected = (tmp_path / "expected.csv").read_text().splitlines()
+        assert expected[1].startswith("combined,")
+        assert expected[1] in (tmp_path / "e" / "eval.csv").read_text().splitlines()
+        assert json.loads((tmp_path / "e" / "config.json").read_text())["lam"] == 0.25
+
+        def score_sidecar(*extra):
+            image = str(pipeline / "data" / "eval" / "scene_0000.ppm")
+            assert main(["score", *head, "--image", image, "--out", str(tmp_path / "m.tnsr"), *extra]) == 0
+            return (tmp_path / "m.tnsr.txt").read_text()
+
+        assert score_sidecar() == "scorer=combined\nlambda=0.25\n"
+        assert score_sidecar("--lam", "0.5") == "scorer=combined\nlambda=0.5\n"  # an explicit --lam wins
+        _edit_manifest(run / "head", "lam=0.25\n", "")  # as written before lam was recorded
+        assert score_sidecar() == "scorer=combined\nlambda=0.5\n"
+
 
 def _edit_manifest(head_dir, old, new):
     text = (head_dir / "head.txt").read_text()
@@ -365,6 +417,31 @@ class TestExitCodes:
             ]
         )
         assert rc == 4
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "half"])
+    def test_bad_recorded_lam_is_3(self, pipeline, tmp_path, value):
+        head = tmp_path / "head"
+        shutil.copytree(pipeline / "run" / "head", head)
+        _edit_manifest(head, "lam=0.5\n", f"lam={value}\n")
+        args = ["--head", str(head), "--frozen", str(pipeline / "frozen"), "--data", str(pipeline / "data")]
+        assert main(["eval", *args, "--out", str(tmp_path / "e")]) == 3
+
+    @pytest.mark.parametrize(
+        "sets, code",
+        [
+            (["patch.min_side=100"], 2),  # the 32x32 donors are too small
+            (["patch.crop_min_div=1", "patch.crop_max_div=1", "patch.policy=square"], 4),  # degenerate
+            (["train.lr=1e300"], 4),  # diverging
+        ],
+        ids=["min_side", "degenerate", "diverging"],
+    )
+    def test_failed_train_leaves_no_out(self, pipeline, tmp_path, capsys, sets, code):
+        world = ["--data", str(pipeline / "data"), "--frozen", str(pipeline / "frozen")]
+        overrides = [arg for expr in sets for arg in ("--set", expr)]
+        assert main(["train", *TINY, *overrides, *world, "--out", str(tmp_path / "r")]) == code
+        assert not (tmp_path / "r").exists()
+        if code == 2:
+            assert "min_side=100" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # divergence is reported, not warned about
     def test_diverging_training_is_4(self, pipeline, tmp_path, capsys):

@@ -139,7 +139,8 @@ class TestWithHead:
         maps = all_score_maps(head, feats, seg, lam=0.3)
         for scorer in SCORERS:
             single = score_map(head, feats, seg, lam=0.3, scorer=scorer)
-            np.testing.assert_allclose(single.values, maps[scorer], atol=1e-12)
+            assert single.shape == (6, 6)
+            np.testing.assert_allclose(single, maps[scorer], atol=1e-12)
 
     def test_eval_forward_is_pure(self):
         head, feats, seg = self._setup()
@@ -150,7 +151,7 @@ class TestWithHead:
 
     def test_save_load_round_trip(self, tmp_path):
         head, feats, seg = self._setup()
-        sm = score_map(head, feats, seg, lam=0.25, scorer="tore")
-        save_score_map(sm, tmp_path / "map.tnsr")
-        np.testing.assert_array_equal(read_tensor(tmp_path / "map.tnsr"), sm.values)
+        values = score_map(head, feats, seg, lam=0.25, scorer="tore")
+        save_score_map(tmp_path / "map.tnsr", values, "tore", 0.25)
+        np.testing.assert_array_equal(read_tensor(tmp_path / "map.tnsr"), values)
         assert (tmp_path / "map.tnsr.txt").read_text() == "scorer=tore\nlambda=0.25\n"
