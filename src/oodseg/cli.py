@@ -12,8 +12,8 @@ directory receives the config sections (or, for ``eval``, the arguments) it
 read and, where a frozen model was used, that model's digest.
 
 Exit codes: 0 success, 2 configuration error, 3 missing or corrupt
-artifact, 4 run failure (degenerate training or evaluation), 1 unexpected
-error.
+artifact or a file that cannot be read or written, 4 run failure
+(degenerate training or evaluation), 1 unexpected error.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ def load_config(path: str | None, sets: list[str]) -> dict:
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+        except OSError as exc:  # missing, a directory, unreadable: the config is at fault, not an artifact
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -275,6 +275,7 @@ def cmd_score(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_score_map(out, values, args.scorer, lam)
     if args.heatmap:
+        Path(args.heatmap).parent.mkdir(parents=True, exist_ok=True)
         lo, hi = values.min(), values.max()
         norm = (values - lo) / (hi - lo) if hi > lo else np.zeros_like(values)
         write_pgm(args.heatmap, np.clip(np.rint(255.0 * norm), 0, 255).astype(np.uint8))
@@ -438,7 +439,7 @@ def main(argv=None) -> int:
     except (ConfigError, BadValueError, DonorTooSmallError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ArtifactError, TensorFormatError, NetpbmError, FileNotFoundError) as exc:
+    except (ArtifactError, TensorFormatError, NetpbmError, OSError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 3
     except (TrainingAbortedError, TrainingDivergedError, MetricInputError) as exc:

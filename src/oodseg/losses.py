@@ -36,58 +36,52 @@ def pooled_set_sizes(partitions) -> tuple[int, int]:
     return n_ood, n_id
 
 
-def _log_softmax2(logits: np.ndarray) -> np.ndarray:
-    m = np.max(logits, axis=0)
-    return logits - m - np.log(np.sum(np.exp(logits - m), axis=0))
+def _stack(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Logits [B, 2, H, W] and the anomaly and in-distribution masks [B, H, W]."""
+    logits = np.stack([logits for logits, _, _ in items])
+    ood = np.stack([part.ood_mask for _, _, part in items])
+    idm = np.stack([part.id_mask for _, _, part in items])
+    return logits, ood, idm
 
 
-def batch_loss_tae(items) -> tuple[float, list[np.ndarray]]:
+def batch_loss_tae(items) -> tuple[float, np.ndarray]:
     """Cross-entropy over pooled sets: mean(-log p1) on anomalies plus
     mean(-log p0) on in-distribution pixels.  ``items`` is a list of
-    (head_logits [2,H,W], jem_values, partition) triples; jem is unused here.
+    (head_logits [2,H,W], jem_values, partition) triples of one shape; jem
+    is unused here.  The gradient comes back as one [B, 2, H, W] array.
     """
     n_ood, n_id = pooled_set_sizes([p for _, _, p in items])
-    value = 0.0
-    grads = []
-    for logits, _, part in items:
-        lp = _log_softmax2(logits)
-        value += -lp[1][part.ood_mask].sum() / n_ood - lp[0][part.id_mask].sum() / n_id
-        p = np.exp(lp)
-        g = np.zeros_like(logits)
-        # d(-log p_o)/dlogits = softmax - onehot(o), averaged per set
-        g[:, part.ood_mask] = (p[:, part.ood_mask] - np.array([[0.0], [1.0]])) / n_ood
-        g[:, part.id_mask] = (p[:, part.id_mask] - np.array([[1.0], [0.0]])) / n_id
-        grads.append(g)
+    logits, ood, idm = _stack(items)
+    m = np.max(logits, axis=1, keepdims=True)
+    lp = logits - m - np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
+    # the pooled value adds per-image masked sums, image by image
+    value = sum(-lp[b, 1][ood[b]].sum() / n_ood - lp[b, 0][idm[b]].sum() / n_id for b in range(len(items)))
+    # d(-log p_o)/dlogits = softmax - onehot(o), averaged per set
+    d = np.exp(lp) - np.stack([idm, ood], axis=1)
+    grads = np.where(ood[:, None], d / n_ood, np.where(idm[:, None], d / n_id, 0.0))
     return float(value), grads
 
 
-def batch_loss_tore(items, gamma: float, margin: str = "dynamic") -> tuple[float, list[np.ndarray]]:
+def batch_loss_tore(items, gamma: float, margin: str = "dynamic") -> tuple[float, np.ndarray]:
     """Margin loss { mean_id(s) - mean_ood(s) + gamma }+ over pooled sets.
 
     Dynamic margin scores s = head[1] + jem; static scores s = head[1]
     alone (jem's contribution then lives in whatever gamma the caller
     passes).  Gradients land only on head channel 1 and only while the
-    hinge is strictly active.
+    hinge is strictly active; they come back as one [B, 2, H, W] array.
     """
     if margin not in MARGIN_MODES:
         raise ValueError(f"margin must be one of {MARGIN_MODES}, got {margin!r}")
     n_ood, n_id = pooled_set_sizes([p for _, _, p in items])
-    mean_id = 0.0
-    mean_ood = 0.0
-    for logits, jem, part in items:
-        s = logits[1] + jem if margin == "dynamic" else logits[1]
-        mean_id += s[part.id_mask].sum() / n_id
-        mean_ood += s[part.ood_mask].sum() / n_ood
+    logits, ood, idm = _stack(items)
+    s = logits[:, 1] + np.stack([jem for _, jem, _ in items]) if margin == "dynamic" else logits[:, 1]
+    mean_id = sum(s[b][idm[b]].sum() / n_id for b in range(len(items)))
+    mean_ood = sum(s[b][ood[b]].sum() / n_ood for b in range(len(items)))
     arg = mean_id - mean_ood + gamma
-    value = max(arg, 0.0)
-    grads = []
-    for logits, _, part in items:
-        g = np.zeros_like(logits)
-        if arg > 0.0:  # subgradient at exactly zero is zero
-            g[1][part.id_mask] = 1.0 / n_id
-            g[1][part.ood_mask] = -1.0 / n_ood
-        grads.append(g)
-    return float(value), grads
+    grads = np.zeros_like(logits)
+    if arg > 0.0:  # subgradient at exactly zero is zero
+        grads[:, 1] = np.where(idm, 1.0 / n_id, np.where(ood, -1.0 / n_ood, 0.0))
+    return float(max(arg, 0.0)), grads
 
 
 def batch_total_loss(
@@ -96,9 +90,7 @@ def batch_total_loss(
     w_a: float = 1.0,
     w_o: float = 1.0,
     margin: str = "dynamic",
-) -> tuple[float, float, float, list[np.ndarray]]:
+) -> tuple[float, float, float, np.ndarray]:
     l_a, grads_a = batch_loss_tae(items)
     l_o, grads_o = batch_loss_tore(items, gamma, margin)
-    total = w_a * l_a + w_o * l_o
-    grads = [w_a * ga + w_o * go for ga, go in zip(grads_a, grads_o)]
-    return total, l_a, l_o, grads
+    return w_a * l_a + w_o * l_o, l_a, l_o, w_a * grads_a + w_o * grads_o

@@ -32,7 +32,6 @@ class PixelPartition:
     id_mask: np.ndarray       # bool [H, W]: everything never pasted over
     ignored_mask: np.ndarray  # bool [H, W]: low-scoring pasted pixels
     eta: float                # pooled threshold (nan when per-region)
-    eta_by_region: dict[int, float] | None = None
 
 
 def threshold_objective(scores, eta: float, mode: str = "eq11") -> float:
@@ -112,29 +111,18 @@ def refine_partition(
         raise ValueError(f"score/mask shape mismatch: {scores.shape} vs {pasted.shape}")
     if not pasted.any():
         raise EmptyPastedRegionError("pasted mask is empty")
-    etas: dict[int, float] | None = None
-    if mode == "none":
-        ood = pasted.copy()
-        eta = float(scores[pasted].min())
-    elif per_region:
-        if region_ids is None:
-            raise ValueError("per_region refinement needs region ids")
-        ids = np.asarray(region_ids)
-        ood = np.zeros_like(pasted)
-        etas = {}
-        for rid in np.unique(ids[pasted]):
-            region = pasted & (ids == rid)
-            eta_r = search_threshold(scores[region], mode)
-            etas[int(rid)] = eta_r
-            ood |= region & (scores >= eta_r)
-        eta = float("nan")
-    else:
-        eta = search_threshold(scores[pasted], mode)
-        ood = pasted & (scores >= eta)
+    per_region = per_region and mode != "none"
+    if per_region and region_ids is None:
+        raise ValueError("per_region refinement needs region ids")
+    ids = np.asarray(region_ids) if per_region else np.zeros(pasted.shape, int)  # pooled: one group
+    ood = np.zeros_like(pasted)
+    for rid in sorted(set(ids[pasted].tolist())):  # np.unique's first call imports numpy.ma (~1 MB)
+        group = pasted & (ids == rid)
+        eta = scores[group].min() if mode == "none" else search_threshold(scores[group], mode)
+        ood |= group & (scores >= eta)
     return PixelPartition(
         ood_mask=ood,
         id_mask=~pasted,
         ignored_mask=pasted & ~ood,
-        eta=eta,
-        eta_by_region=etas,
+        eta=float("nan") if per_region else float(eta),
     )

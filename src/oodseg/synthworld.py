@@ -337,28 +337,47 @@ def export_dataset(spec: SceneSpec, n_train: int, n_eval: int, out_dir: str | Pa
 
 
 def load_manifest(data_dir: str | Path) -> dict:
+    """The dataset's manifest: a JSON object whose counts and image size are
+    integers of at least the minimum the loaders need, else ``ArtifactError``."""
     path = Path(data_dir) / "manifest.json"
-    if not path.exists():
-        raise ArtifactError(f"no manifest.json under {data_dir}")
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ArtifactError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ArtifactError(f"{path} must hold a JSON object")
+    for key, least in (("n_train", 2), ("n_eval", 1), ("height", 1), ("width", 1)):
+        value = manifest.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ArtifactError(f"{path}: {key} must be an integer >= {least}, got {value!r}")
+    return manifest
+
+
+def _read_scene_file(read, path: Path, manifest: dict) -> np.ndarray:
+    """``read(path)``, checked to be the manifest's height x width."""
+    array, h, w = read(path), manifest["height"], manifest["width"]
+    if array.shape[:2] != (h, w):
+        raise ArtifactError(f"{path} is {array.shape[0]}x{array.shape[1]}, not the manifest's {h}x{w}")
+    return array
 
 
 def load_train_images(data_dir: str | Path) -> list[np.ndarray]:
     manifest = load_manifest(data_dir)
     root = Path(data_dir) / "train"
-    images = [read_ppm(root / f"scene_{i:04d}.ppm") for i in range(manifest["n_train"])]
-    if len(images) < 2:
-        raise ArtifactError("training split needs >= 2 images")
-    return images
+    paths = [root / f"scene_{i:04d}.ppm" for i in range(manifest["n_train"])]
+    return [_read_scene_file(read_ppm, path, manifest) for path in paths]
 
 
 def load_eval_set(data_dir: str | Path) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pairs of (image, anomaly mask with values {0, 1, IGNORE})."""
+    """Pairs of (image, anomaly mask with values {0, 1, IGNORE}), all of the manifest's shape."""
     manifest = load_manifest(data_dir)
     root = Path(data_dir) / "eval"
     out = []
     for i in range(manifest["n_eval"]):
-        image = read_ppm(root / f"scene_{i:04d}.ppm")
-        mask = read_pgm(root / f"scene_{i:04d}_anomaly.pgm")
+        image = _read_scene_file(read_ppm, root / f"scene_{i:04d}.ppm", manifest)
+        mask_path = root / f"scene_{i:04d}_anomaly.pgm"
+        mask = _read_scene_file(read_pgm, mask_path, manifest)
+        if not np.isin(mask, (0, 1, IGNORE)).all():
+            raise ArtifactError(f"{mask_path} holds values other than 0, 1 and {IGNORE}")
         out.append((image, mask))
     return out

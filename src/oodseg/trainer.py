@@ -48,7 +48,7 @@ class TrainingAbortedError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """A refinement score or the loss is not finite; the message names the iteration."""
+    """A refinement score, the loss or a gradient is not finite; the message names the iteration."""
 
 
 @dataclass(frozen=True)
@@ -198,14 +198,10 @@ def _step(
     if not np.isfinite([total, l_a, l_o]).all():
         raise TrainingDivergedError(f"iteration {iteration}: loss is not finite")
     caches = [cache for _, cache in slots]
-    total_grads: dict[str, np.ndarray] | None = None
-    for cache, g_logits in zip(caches, grads):
-        g = head_backward(head, cache, g_logits)
-        if total_grads is None:
-            total_grads = g
-        else:
-            for name in total_grads:
-                total_grads[name] += g[name]
+    slot_grads = [head_backward(head, cache, g) for cache, g in zip(caches, grads)]
+    total_grads = {name: sum(g[name] for g in slot_grads) for name in slot_grads[0]}
+    if not all(np.isfinite(g).all() for g in total_grads.values()):
+        raise TrainingDivergedError(f"iteration {iteration}: gradient is not finite")
     # past every abort point: only a completed iteration moves BN state
     commit_batch_stats(head, caches)
     adam.step(head, total_grads, cfg)
@@ -224,7 +220,9 @@ def train(
     One record per completed iteration; iterations whose partition is
     degenerate are skipped and counted, and more than
     ``max_abort_frac`` of them fails the run.  A non-finite refinement
-    score or loss raises ``TrainingDivergedError`` at once.
+    score, loss or gradient raises ``TrainingDivergedError`` at once.
+    Slots are stacked for the loss, so the scenes of one batch must share
+    one shape.
     """
     if len(train_images) < 2:
         raise ValueError(f"need >= 2 training images, got {len(train_images)}")

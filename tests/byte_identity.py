@@ -1,6 +1,6 @@
 """Seeded run of every CLI subcommand, for byte-identity checks between trees.
 
-Runs gen-data, fit-frozen, seven train variants, eval with and without a
+Runs gen-data, fit-frozen, nine train variants, eval with and without a
 head, score for every scorer plus a heatmap, ablate, and sweeps over
 patches, gamma and lambda, all on one small seeded config.  Two more
 gen-data steps write a larger dataset into ``regen`` and then a smaller one
@@ -42,6 +42,11 @@ TRAIN_VARIANTS = {
     "otsu": ["--set", "train.refine_mode=otsu"],
     "none": ["--set", "train.refine_mode=none"],
     "per_region": ["--set", "train.per_region=true"],
+    "per_region_none": ["--set", "train.per_region=true", "--set", "train.refine_mode=none"],
+    # the benchmark's paste-heavy shape: later patches cover whole earlier regions
+    "paste_heavy": [
+        "--set", "train.n_patches=40", "--set", "train.per_region=true", "--set", "train.batch_size=4",
+    ],
     # most crops become polygons here (few at the defaults), so Harris,
     # hull and raster changes all reach the bytes
     "polygons": ["--set", "patch.harris_thresh_frac=1e-4", "--set", "patch.harris_nms_radius=1"],

@@ -11,7 +11,7 @@ import pytest
 from oodseg.cli import ConfigError, DEFAULT_CONFIG, SECTIONS, _section, load_config, main
 from oodseg.head import load_head
 from oodseg.synthworld import load_eval_set, load_frozen
-from oodseg.tensorio import read_pgm, read_tensor, write_tensor
+from oodseg.tensorio import read_pgm, read_ppm, read_tensor, write_pgm, write_ppm, write_tensor
 from oodseg.trainer import evaluate, write_eval_csv
 
 TINY = [
@@ -316,10 +316,35 @@ class TestPipeline:
         assert score_sidecar() == "scorer=combined\nlambda=0.5\n"
 
 
+    def test_heatmap_directory_is_created(self, pipeline, tmp_path):
+        heatmap = tmp_path / "new" / "heat.pgm"
+        image = pipeline / "data" / "eval" / "scene_0000.ppm"
+        argv = ["--frozen", str(pipeline / "frozen"), "--image", str(image), "--scorer", "jem"]
+        assert main(["score", *argv, "--out", str(tmp_path / "s.tnsr"), "--heatmap", str(heatmap)]) == 0
+        assert read_pgm(heatmap).shape == (32, 32)
+
+
 def _edit_manifest(head_dir, old, new):
     text = (head_dir / "head.txt").read_text()
     assert old in text
     (head_dir / "head.txt").write_text(text.replace(old, new))
+
+
+def _edit_dataset_manifest(data, edit):
+    manifest = json.loads((data / "manifest.json").read_text())
+    edit(manifest)
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _mask_with_a_7(data):
+    mask = read_pgm(data / "eval" / "scene_0000_anomaly.pgm").copy()
+    mask[0, 0] = 7
+    write_pgm(data / "eval" / "scene_0000_anomaly.pgm", mask)
+
+
+def _wider_train_image(data):
+    image = read_ppm(data / "train" / "scene_0001.ppm")
+    write_ppm(data / "train" / "scene_0001.ppm", np.concatenate([image, image[:, :8]], axis=1))
 
 
 class TestExitCodes:
@@ -327,6 +352,10 @@ class TestExitCodes:
         assert main(["gen-data", "--set", "nosuch.key=1", "--out", str(tmp_path / "d")]) == 2
         assert main(["gen-data", "--set", "scene.height=8", "--out", str(tmp_path / "d")]) == 2
         assert main(["gen-data", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d")]) == 2
+
+    def test_unreadable_config_is_2(self, tmp_path):
+        # a file that cannot be read exits 3, except the config, which is configuration
+        assert main(["gen-data", "--config", str(tmp_path), "--out", str(tmp_path / "d")]) == 2
 
     def test_artifact_error_is_3(self, pipeline, tmp_path):
         rc = main(
@@ -539,6 +568,37 @@ class TestExitCodes:
         for args in (["--set", f"{key}=1"], ["--config", str(config)]):
             assert main(["gen-data", *args, "--out", str(tmp_path / "d")]) == 2
             assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "command, corrupt",
+        [
+            ("eval", lambda d: (d / "manifest.json").write_text("{")),
+            ("eval", lambda d: (d / "manifest.json").write_text("[]")),
+            ("eval", lambda d: _edit_dataset_manifest(d, lambda m: m.pop("n_eval"))),
+            ("eval", lambda d: _edit_dataset_manifest(d, lambda m: m.update(n_eval="2"))),
+            ("eval", _mask_with_a_7),
+            ("eval", lambda d: write_pgm(d / "eval" / "scene_0000_anomaly.pgm", np.zeros((16, 16), np.uint8))),
+            ("train", _wider_train_image),  # 32x40 among 32x32 scenes
+        ],
+        ids=["not_json", "list", "no_n_eval", "n_eval_string", "mask_value_7", "mask_shape", "mixed_train_size"],
+    )
+    def test_bad_dataset_is_3(self, pipeline, tmp_path, command, corrupt):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "data", data)
+        corrupt(data)
+        world = ["--data", str(data), "--frozen", str(pipeline / "frozen"), "--out", str(tmp_path / "o")]
+        assert main(["train", *TINY, *world] if command == "train" else ["eval", *world]) == 3
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "gen-data"])
+    def test_unwritable_out_is_3(self, pipeline, tmp_path, command):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"  # a path under a regular file
+        world = ["--data", str(pipeline / "data"), "--frozen", str(pipeline / "frozen")]
+        argv = {"train": ["train", *TINY, *world], "eval": ["eval", *world], "gen-data": ["gen-data", *TINY]}
+        assert main([*argv[command], "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestGrids:

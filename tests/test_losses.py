@@ -141,6 +141,23 @@ class TestGradientsAgainstFiniteDifferences:
         np.testing.assert_allclose(grads[0], fd, atol=1e-7)
 
 
+    @pytest.mark.parametrize("margin", ["dynamic", "static"])
+    def test_total_grad_over_three_images(self, margin):
+        rng = np.random.default_rng(24)
+        items = [random_item(rng) for _ in range(3)]
+        s = [logits[1] + jem if margin == "dynamic" else logits[1] for logits, jem, _ in items]
+        s_id = np.concatenate([si[p.id_mask] for si, (_, _, p) in zip(s, items)])
+        s_ood = np.concatenate([si[p.ood_mask] for si, (_, _, p) in zip(s, items)])
+        for offset in (-5.0, 5.0):  # the pooled hinge argument, away from the kink
+            gamma = offset - (s_id.mean() - s_ood.mean())
+            total, l_a, l_o, grads = batch_total_loss(items, gamma, 0.7, 1.3, margin)
+            assert l_o == pytest.approx(max(offset, 0.0), abs=1e-9)
+            assert grads.shape == (3, 2, 3, 4)
+            for b, (logits, _, _) in enumerate(items):
+                fd = self.fd_grad(lambda: batch_total_loss(items, gamma, 0.7, 1.3, margin)[0], logits)
+                np.testing.assert_allclose(grads[b], fd, atol=1e-7)
+
+
 class TestMarginEquivalence:
     def test_dynamic_equals_shifted_static(self):
         # folding the jem means into the margin must not change the loss

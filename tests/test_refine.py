@@ -110,7 +110,6 @@ class TestRefinePartition:
         np.testing.assert_array_equal(part.id_mask, ~pasted)
         np.testing.assert_array_equal(part.ignored_mask, pasted & ~expect_ood)
         assert part.eta == pytest.approx(10.0 / 255.0, abs=1e-12)
-        assert part.eta_by_region is None
 
     def test_partition_invariants(self):
         rng = np.random.default_rng(31)
@@ -153,12 +152,27 @@ class TestRefinePartition:
         expect[1, 2:4] = True  # each region splits internally
         np.testing.assert_array_equal(part.ood_mask, expect)
         assert math.isnan(part.eta)
-        assert set(part.eta_by_region) == {1, 2}
-        assert part.eta_by_region[1] == pytest.approx(1.0 / 255.0, abs=1e-12)
-        assert part.eta_by_region[2] == pytest.approx(100.0 + 1.0 / 255.0, abs=1e-12)
         # pooled would instead keep all of region 2 and drop all of region 1
         pooled = refine_partition(scores, pasted)
         assert pooled.ood_mask[1, 0:4].all() and not pooled.ood_mask[0, 0:4].any()
+
+    def test_per_region_is_pooled_refinement_of_each_region(self):
+        rng = np.random.default_rng(32)
+        for mode in ("eq11", "otsu"):
+            for _ in range(10):
+                ids = np.zeros((16, 16), dtype=np.int32)
+                for rid in range(1, 7):  # later rectangles cover part, or all, of earlier ones
+                    y, x = rng.integers(0, 12, size=2)
+                    h, w = rng.integers(2, 10, size=2)
+                    ids[y : y + h, x : x + w] = rid
+                pasted = ids > 0
+                scores = rng.standard_normal((16, 16))
+                part = refine_partition(scores, pasted, mode=mode, region_ids=ids, per_region=True)
+                expect = np.zeros_like(pasted)
+                for rid in np.unique(ids[pasted]):
+                    expect |= refine_partition(scores, ids == rid, mode=mode).ood_mask
+                np.testing.assert_array_equal(part.ood_mask, expect)
+                np.testing.assert_array_equal(part.ignored_mask, pasted & ~expect)
 
     def test_mode_none_keeps_whole_pasted_region(self):
         scores = np.zeros((4, 4))
@@ -171,7 +185,6 @@ class TestRefinePartition:
         np.testing.assert_array_equal(part.id_mask, ~pasted)
         assert not part.ignored_mask.any()
         assert part.eta == -1.0  # lowest pasted score
-        assert part.eta_by_region is None
         assert part.ood_mask is not pasted  # a copy, not the caller's mask
 
     def test_mode_none_ignores_per_region(self):
@@ -182,7 +195,6 @@ class TestRefinePartition:
         part = refine_partition(scores, pasted, mode="none", region_ids=ids, per_region=True)
         np.testing.assert_array_equal(part.ood_mask, pasted)
         assert part.eta == 0.0
-        assert part.eta_by_region is None
 
     def test_errors(self):
         with pytest.raises(EmptyPastedRegionError):

@@ -5,6 +5,7 @@ import pytest
 
 from oodseg.estimators import SCORERS
 from oodseg.head import HeadConfig, head_init
+import oodseg.head
 import oodseg.trainer
 from oodseg.losses import DegeneratePartitionError, batch_total_loss
 from oodseg.patches import PatchConfig, donor_corners, synth_pasted_scene
@@ -199,6 +200,29 @@ class TestTrain:
         cfg = tiny_cfg(lr=1e300, warmup_iters=warmup_iters)
         with pytest.raises(TrainingDivergedError, match=f"^iteration 1: {what} is not finite$"):
             train(images, frozen, cfg, head_config=HEAD_CFG)
+
+    def test_non_finite_gradient_stops_before_any_update(self, frozen, images, monkeypatch):
+        seen = []
+
+        def nan_backward(head, cache, grad_logits):
+            if not seen:  # the head as the iteration found it
+                seen.append((head, [(name, arr.copy()) for name, arr in head.arrays()]))
+            grads = oodseg.head.head_backward(head, cache, grad_logits)
+            grads["out.b"][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(oodseg.trainer, "head_backward", nan_backward)
+        with pytest.raises(TrainingDivergedError, match="^iteration 0: gradient is not finite$"):
+            train(images, frozen, tiny_cfg(), head_config=HEAD_CFG)
+        head, before = seen[0]
+        for (name, arr), (_, arr0) in zip(head.arrays(), before):  # BN running statistics included
+            np.testing.assert_array_equal(arr, arr0, err_msg=name)
+
+    def test_batch_of_two_shapes_is_a_value_error(self, frozen, images):
+        # the loss stacks the batch's slots, so one batch holds one shape
+        wide = np.concatenate([images[1], images[1][:, :8]], axis=1)
+        with pytest.raises(ValueError, match="same shape"):
+            train([images[0], wide], frozen, tiny_cfg(), head_config=HEAD_CFG)
 
     def test_crops_take_their_donors_corners(self, frozen, images, monkeypatch):
         # the target leaves the donor list and shifts the donors after it;
