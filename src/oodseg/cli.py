@@ -144,8 +144,8 @@ def load_config(path: str | None, sets: list[str]) -> dict:
             loaded = json.loads(Path(path).read_text())
         except OSError as exc:  # missing, a directory, unreadable: the config is at fault, not an artifact
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a JSON object")
         _merge_strict(config, loaded)
@@ -221,11 +221,14 @@ def cmd_fit_frozen(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.set)
     cfg = _train_config(config)  # before any file is read
+    out = Path(args.out)  # created only once training has finished, but checked now
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ArtifactError(f"cannot create --out {out}: {nearest} is not a directory")
     images = load_train_images(args.data)
     frozen = load_frozen(args.frozen)
     head_cfg = _section(config, "head", feature_dim=frozen.feature_dim)
     head, log = train(images, frozen, cfg, head_cfg)
-    out = Path(args.out)
     config_sha = _record_run(out, {k: config[k] for k in ("head", "train", "patch")}, frozen)
     manifest = {"frozen_digest": frozen_digest(frozen), "lam": repr(cfg.lam), "train_config": config_sha}
     save_head(head, out / "head", extra=manifest)
@@ -317,9 +320,8 @@ def _write_grid(out: Path, name: str, lines: list[str], frozen: FrozenModel, con
     print("\n".join(lines))
 
 
-# arm -> (TrainConfig overrides, or None for no head; the scorer its row reports)
+# arm -> (TrainConfig overrides, the scorer its row reports)
 ABLATE_ARMS = {
-    "jem": (None, "jem"),
     "tae_only": ({"w_o": 0.0}, "tae"),
     "tore_only": ({"w_a": 0.0}, "tore"),
     "both": ({}, "combined"),
@@ -331,16 +333,14 @@ def cmd_ablate(args) -> int:
     config = load_config(args.config, args.set)
     base = _train_config(config)  # every section is checked before the world is built
     head_cfg = _section(config, "head", feature_dim=config["frozen"]["feature_dim"])  # the world's
-    arms = {
-        arm: (None if overrides is None else dataclasses.replace(base, **overrides), scorer)
-        for arm, (overrides, scorer) in ABLATE_ARMS.items()
-    }
     out = Path(args.out)
     images, frozen, eval_set = _prepare_world(config, out)
     rows = {}
-    for arm, (cfg, scorer) in arms.items():
-        head = None if cfg is None else _train_arm(images, frozen, cfg, head_cfg)
-        rows[arm] = (scorer, evaluate(head, frozen, eval_set, base.lam)[scorer])
+    for arm, (overrides, scorer) in ABLATE_ARMS.items():
+        head = _train_arm(images, frozen, dataclasses.replace(base, **overrides), head_cfg)
+        results = evaluate(head, frozen, eval_set, base.lam)
+        rows.setdefault("jem", ("jem", results["jem"]))  # the frozen model's score: every arm's is the same
+        rows[arm] = (scorer, results[scorer])
     rows["margin_dynamic"] = rows["both"]  # same training, named for the margin table
     lines = ["arm,scorer,ap,auroc,fpr95,n_pos,n_neg"]
     for arm, (scorer, r) in rows.items():
@@ -439,7 +439,7 @@ def main(argv=None) -> int:
     except (ConfigError, BadValueError, DonorTooSmallError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ArtifactError, TensorFormatError, NetpbmError, OSError) as exc:
+    except (ArtifactError, TensorFormatError, NetpbmError, OSError, UnicodeDecodeError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 3
     except (TrainingAbortedError, TrainingDivergedError, MetricInputError) as exc:

@@ -33,6 +33,7 @@ from .tensorio import ArtifactError, read_tensor, write_tensor
 
 OUT_CHANNELS = 2
 BN_EPSILON = 1e-5
+BN_MOMENTUM = 0.9  # running statistic weight per committed batch
 
 
 class HeadShapeError(ValueError):
@@ -45,7 +46,6 @@ class HeadConfig:
     blocks: int = 3
     hidden: int = 32
     kernel_size: int = 1
-    bn_momentum: float = 0.9
 
     def __post_init__(self):
         if self.feature_dim < 1:
@@ -56,8 +56,6 @@ class HeadConfig:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
-        if not 0.0 <= self.bn_momentum < 1.0:
-            raise ValueError(f"bn_momentum must be in [0, 1), got {self.bn_momentum}")
 
 
 _BLOCK_LEAVES = ("w", "gamma", "beta", "run_mean", "run_var")
@@ -241,8 +239,8 @@ def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval"):
 def commit_batch_stats(params: HeadParams, caches: list[HeadCache]) -> None:
     """Fold train-mode batch statistics into the running statistics, one
     cache after another, by the momentum rule
-    ``run = momentum * run + (1 - momentum) * batch``."""
-    m = params.config.bn_momentum
+    ``run = BN_MOMENTUM * run + (1 - BN_MOMENTUM) * batch``."""
+    m = BN_MOMENTUM
     for cache in caches:
         if cache.params is not params:
             raise ValueError("cache does not belong to these parameters")
@@ -300,7 +298,6 @@ def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray)
 # the HeadConfig fields as repr
 
 _MANIFEST = "head.txt"
-_FROM_TEXT = {"int": int, "float": float}
 # lines of heads written with a conv bias; such a head loads only with these
 # values, the model this head implements (its block*_b tensors are not read)
 _LEGACY_LINES = {"use_batchnorm": "1", "bn_epsilon": repr(BN_EPSILON)}
@@ -342,7 +339,7 @@ def load_head(ckpt_dir: str | Path) -> HeadParams:
         if meta.get(key, val) != val:
             raise ArtifactError(f"head under {ckpt} has {key}={meta[key]}; only {key}={val} is supported")
     try:
-        cfg = HeadConfig(**{f.name: _FROM_TEXT[f.type](meta[f.name]) for f in fields(HeadConfig)})
+        cfg = HeadConfig(**{f.name: int(meta[f.name]) for f in fields(HeadConfig)})  # every field is an int
     except (KeyError, ValueError) as exc:
         raise ArtifactError(f"malformed head manifest under {ckpt}: {exc!r}") from exc
     arrays = {}

@@ -30,19 +30,21 @@ class DegeneratePolygonError(ValueError):
     """Polygon covers no pixel center."""
 
 
+CROP_MIN_DIV = 16  # crop side lower bound: donor extent / 16, but at least min_side
+
+
 @dataclass(frozen=True)
 class PatchConfig:
     harris_thresh_frac: float = 0.01
     harris_nms_radius: int = 2
     min_side: int = 8
-    crop_min_div: int = 16  # crop side lower bound: donor extent / 16
     crop_max_div: int = 4   # crop side upper bound: donor extent / 4
     policy: str = "convex"  # "convex" | "square"
 
     def __post_init__(self):
         if self.policy not in ("convex", "square"):
             raise ValueError(f"policy must be 'convex' or 'square', got {self.policy!r}")
-        if self.min_side < 1 or not self.crop_min_div >= self.crop_max_div >= 1:
+        if self.min_side < 1 or not CROP_MIN_DIV >= self.crop_max_div >= 1:
             raise ValueError("crop bounds out of order")
         if self.harris_nms_radius < 0:
             raise ValueError(f"harris_nms_radius must be >= 0, got {self.harris_nms_radius}")
@@ -79,7 +81,7 @@ def luma(image: np.ndarray) -> np.ndarray:
 
 
 def _side_bounds(extent: int, cfg: PatchConfig) -> tuple[int, int]:
-    lo = max(cfg.min_side, extent // cfg.crop_min_div)
+    lo = max(cfg.min_side, extent // CROP_MIN_DIV)
     hi = max(lo, extent // cfg.crop_max_div)
     return lo, hi
 

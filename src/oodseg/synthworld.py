@@ -44,28 +44,22 @@ class BadValueError(ValueError):
     """A size or count argument outside its accepted range."""
 
 
+NOISE = 0.03             # uniform pixel noise amplitude, fraction of full scale
+SHAPES = (3, 6)          # in-distribution shapes per scene, inclusive bounds
+ANOMALY_SHAPES = (1, 3)  # anomalous shapes per eval scene, inclusive bounds
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     height: int = 64
     width: int = 64
     classes: int = 4          # background + shape classes
-    shapes_min: int = 3
-    shapes_max: int = 6
-    anomaly_shapes_min: int = 1
-    anomaly_shapes_max: int = 3
-    noise: float = 0.03       # uniform pixel noise amplitude, fraction of full scale
 
     def __post_init__(self):
         if self.height < 16 or self.width < 16:
             raise ValueError(f"scene must be at least 16x16, got {self.height}x{self.width}")
         if self.classes < 2:
             raise ValueError(f"need >= 2 classes, got {self.classes}")
-        if not 1 <= self.shapes_min <= self.shapes_max:
-            raise ValueError("shape counts out of order")
-        if not 1 <= self.anomaly_shapes_min <= self.anomaly_shapes_max:
-            raise ValueError("anomaly shape counts out of order")
-        if not 0.0 <= self.noise < 0.5:
-            raise ValueError(f"noise must be in [0, 0.5), got {self.noise}")
 
 
 # in-distribution color families (muted primaries) and shape families;
@@ -123,7 +117,7 @@ def generate_scene(
     shapes: list[tuple[int, np.ndarray]] = []
 
     n_fam = spec.classes - 1
-    n_shapes = int(rng.integers(spec.shapes_min, spec.shapes_max + 1))
+    n_shapes = int(rng.integers(SHAPES[0], SHAPES[1] + 1))
     # every class appears at least once, then extras are uniform
     order = list(rng.permutation(n_fam) + 1)
     while len(order) < n_shapes:
@@ -143,7 +137,7 @@ def generate_scene(
         shapes.append((cls, mask))
 
     if anomalies:
-        n_anom = int(rng.integers(spec.anomaly_shapes_min, spec.anomaly_shapes_max + 1))
+        n_anom = int(rng.integers(ANOMALY_SHAPES[0], ANOMALY_SHAPES[1] + 1))
         for _ in range(n_anom):
             kind = _ANOMALY_SHAPES[int(rng.integers(len(_ANOMALY_SHAPES)))]
             color = _ANOMALY_COLORS[int(rng.integers(len(_ANOMALY_COLORS)))]
@@ -155,8 +149,7 @@ def generate_scene(
             labels[mask] = IGNORE
             anomaly |= mask
 
-    if spec.noise > 0.0:
-        img = img + rng.uniform(-spec.noise * 255.0, spec.noise * 255.0, size=img.shape)
+    img = img + rng.uniform(-NOISE * 255.0, NOISE * 255.0, size=img.shape)
     image = np.clip(np.rint(img), 0, 255).astype(np.uint8)
     if return_shapes:
         return image, labels, anomaly, shapes
@@ -284,12 +277,18 @@ def save_frozen(model: FrozenModel, out_dir: str | Path) -> str:
 
 
 def load_frozen(model_dir: str | Path) -> FrozenModel:
+    """The model ``save_frozen`` wrote: a [D, NEIGHBORHOOD] projection, a
+    [K, D] dec_w and a [K] dec_b matching the recorded digest, else ``ArtifactError``."""
     mdir = Path(model_dir)
     try:
         arrays = {name: read_tensor(mdir / f"{name}.tnsr") for name in _FROZEN_FILES}
         recorded = (mdir / "digest.txt").read_text().strip()
     except FileNotFoundError as exc:
         raise ArtifactError(f"frozen model incomplete under {mdir}: {exc}") from exc
+    d, k = arrays["projection"].shape[0], arrays["dec_w"].shape[0]
+    for name, shape in zip(_FROZEN_FILES, ((d, NEIGHBORHOOD), (k, d), (k,))):
+        if arrays[name].shape != shape:
+            raise ArtifactError(f"{mdir / name}.tnsr has shape {arrays[name].shape}, not {shape}")
     model = FrozenModel(**arrays)
     actual = frozen_digest(model)
     if actual != recorded:

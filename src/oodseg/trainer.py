@@ -41,6 +41,7 @@ from .tensorio import IGNORE
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+MAX_ABORT_FRAC = 0.1  # share of iterations that may abort before the run fails
 
 
 class TrainingAbortedError(RuntimeError):
@@ -66,7 +67,6 @@ class TrainConfig:
     margin: str = "dynamic"
     w_a: float = 1.0
     w_o: float = 1.0
-    max_abort_frac: float = 0.1
     patch: PatchConfig = field(default_factory=PatchConfig)
 
     def __post_init__(self):
@@ -86,8 +86,6 @@ class TrainConfig:
             raise ValueError(f"margin must be one of {MARGIN_MODES}, got {self.margin!r}")
         if self.w_a < 0.0 or self.w_o < 0.0:
             raise ValueError("loss weights must be >= 0")
-        if not 0.0 <= self.max_abort_frac <= 1.0:
-            raise ValueError(f"max_abort_frac must be in [0, 1], got {self.max_abort_frac}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +217,7 @@ def train(
 
     One record per completed iteration; iterations whose partition is
     degenerate are skipped and counted, and more than
-    ``max_abort_frac`` of them fails the run.  A non-finite refinement
+    ``MAX_ABORT_FRAC`` of them fails the run.  A non-finite refinement
     score, loss or gradient raises ``TrainingDivergedError`` at once.
     Slots are stacked for the loss, so the scenes of one batch must share
     one shape.
@@ -249,7 +247,7 @@ def train(
             log.aborted += 1
             continue
         log.records.append(LogRecord(it, *stats, ms=(time.perf_counter() - tic) * 1000.0))
-    if log.aborted > cfg.max_abort_frac * cfg.iterations:
+    if log.aborted > MAX_ABORT_FRAC * cfg.iterations:
         raise TrainingAbortedError(
             f"{log.aborted}/{cfg.iterations} iterations aborted on degenerate partitions"
         )

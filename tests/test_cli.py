@@ -8,9 +8,10 @@ import shutil
 import numpy as np
 import pytest
 
+import oodseg.cli
 from oodseg.cli import ConfigError, DEFAULT_CONFIG, SECTIONS, _section, load_config, main
 from oodseg.head import load_head
-from oodseg.synthworld import load_eval_set, load_frozen
+from oodseg.synthworld import load_eval_set, load_frozen, save_frozen
 from oodseg.tensorio import read_pgm, read_ppm, read_tensor, write_pgm, write_ppm, write_tensor
 from oodseg.trainer import evaluate, write_eval_csv
 
@@ -127,7 +128,7 @@ class TestLoadConfig:
             "train.lr=nan",
             "train.lr=inf",
             "train.gamma=nan",
-            "scene.noise=-inf",
+            "train.w_o=-inf",
             "train.iterations=1.5",
             "train.iterations=true",
         ],
@@ -151,7 +152,7 @@ def _assert_is_default(config):
 class TestSchemaRoundTrip:
     def test_every_key_round_trips_through_set(self):
         sets = [f"{section}.{key}={_text(v)}" for section, keys in DEFAULT_CONFIG.items() for key, v in keys.items()]
-        assert len(sets) == 38
+        assert len(sets) == 30
         _assert_is_default(load_config(None, sets))
 
     def test_every_key_round_trips_through_json(self, tmp_path):
@@ -347,6 +348,10 @@ def _wider_train_image(data):
     write_ppm(data / "train" / "scene_0001.ppm", np.concatenate([image, image[:, :8]], axis=1))
 
 
+def _append_bytes(path, data):
+    path.write_bytes(path.read_bytes() + data)
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         assert main(["gen-data", "--set", "nosuch.key=1", "--out", str(tmp_path / "d")]) == 2
@@ -437,7 +442,7 @@ class TestExitCodes:
             [
                 "train",
                 *TINY,
-                "--set", "patch.crop_min_div=1",
+                "--set", "patch.min_side=32",
                 "--set", "patch.crop_max_div=1",
                 "--set", "patch.policy=square",
                 "--data", str(pipeline / "data"),
@@ -459,7 +464,7 @@ class TestExitCodes:
         "sets, code",
         [
             (["patch.min_side=100"], 2),  # the 32x32 donors are too small
-            (["patch.crop_min_div=1", "patch.crop_max_div=1", "patch.policy=square"], 4),  # degenerate
+            (["patch.min_side=32", "patch.crop_max_div=1", "patch.policy=square"], 4),  # degenerate
             (["train.lr=1e300"], 4),  # diverging
         ],
         ids=["min_side", "degenerate", "diverging"],
@@ -569,6 +574,61 @@ class TestExitCodes:
             assert main(["gen-data", *args, "--out", str(tmp_path / "d")]) == 2
             assert f"unknown config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "scene.noise=0.03",
+            "scene.shapes_min=3",
+            "scene.shapes_max=6",
+            "scene.anomaly_shapes_min=1",
+            "scene.anomaly_shapes_max=3",
+            "head.bn_momentum=0.9",
+            "train.max_abort_frac=0.1",
+            "patch.crop_min_div=16",
+        ],
+    )
+    def test_constant_is_not_a_key(self, tmp_path, capsys, expr):
+        # each took its constant's value here when it was a key; no run set another
+        assert main(["gen-data", *TINY, "--set", expr, "--out", str(tmp_path / "d")]) == 2
+        assert f"unknown config key {expr.partition('=')[0]!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda m: {"projection": np.hstack([m.projection, m.projection[:, :1]])},  # [D, 30]
+            lambda m: {"dec_w": m.dec_w[:, :5]},  # [K, 5] beside a D-row projection
+        ],
+        ids=["projection_cols", "dec_w_cols"],
+    )
+    def test_frozen_shapes_that_disagree_are_3(self, pipeline, tmp_path, capsys, reshape):
+        model = load_frozen(pipeline / "frozen")
+        save_frozen(dataclasses.replace(model, **reshape(model)), tmp_path / "frozen")  # the digest matches
+        world = ["--frozen", str(tmp_path / "frozen"), "--data", str(pipeline / "data")]
+        assert main(["eval", *world, "--out", str(tmp_path / "e")]) == 3
+        assert "tnsr has shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, corrupt, code",
+        [
+            ("score", lambda t: _append_bytes(t / "head" / "head.txt", b"note=\xff\n"), 3),
+            ("eval", lambda t: (t / "frozen" / "digest.txt").write_bytes(b"\xff\xfe"), 3),
+            ("gen-data", lambda t: (t / "c.json").write_bytes(b"{}\xff"), 2),
+        ],
+        ids=["head_txt", "digest_txt", "config"],
+    )
+    def test_text_that_is_not_utf8(self, pipeline, tmp_path, command, corrupt, code):
+        # an artifact exits 3 and the config 2, each without a traceback
+        shutil.copytree(pipeline / "run" / "head", tmp_path / "head")
+        shutil.copytree(pipeline / "frozen", tmp_path / "frozen")
+        corrupt(tmp_path)
+        frozen, image = str(tmp_path / "frozen"), str(pipeline / "data" / "eval" / "scene_0000.ppm")
+        argv = {
+            "score": ["--head", str(tmp_path / "head"), "--frozen", frozen, "--image", image],
+            "eval": ["--frozen", frozen, "--data", str(pipeline / "data")],
+            "gen-data": [*TINY, "--config", str(tmp_path / "c.json")],
+        }
+        assert main([command, *argv[command], "--out", str(tmp_path / "o")]) == code
+
 
     @pytest.mark.parametrize(
         "command, corrupt",
@@ -592,7 +652,11 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "gen-data"])
-    def test_unwritable_out_is_3(self, pipeline, tmp_path, command):
+    def test_unwritable_out_is_3(self, pipeline, tmp_path, monkeypatch, command):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran before --out was checked")
+
+        monkeypatch.setattr(oodseg.cli, "train", no_training)
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"  # a path under a regular file
         world = ["--data", str(pipeline / "data"), "--frozen", str(pipeline / "frozen")]

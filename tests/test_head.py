@@ -14,6 +14,7 @@ import pytest
 
 from oodseg.head import (
     BN_EPSILON,
+    BN_MOMENTUM,
     HeadConfig,
     commit_batch_stats,
     HeadShapeError,
@@ -79,8 +80,6 @@ class TestConfig:
             HeadConfig(feature_dim=0)
         with pytest.raises(ValueError):
             HeadConfig(feature_dim=4, kernel_size=2)
-        with pytest.raises(ValueError):
-            HeadConfig(feature_dim=4, bn_momentum=1.0)
         with pytest.raises(ValueError):
             HeadConfig(feature_dim=4, blocks=0)
 
@@ -163,7 +162,7 @@ class TestForward:
         np.testing.assert_allclose(np.maximum(cache.blocks[0].y, 0.0), expected, atol=1e-10)
 
     def test_running_stats_update_rule(self):
-        cfg = HeadConfig(feature_dim=4, blocks=1, hidden=3, bn_momentum=0.9)
+        cfg = HeadConfig(feature_dim=4, blocks=1, hidden=3)
         params = head_init(cfg, seed=1)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((4, 8, 8))
@@ -172,8 +171,8 @@ class TestForward:
         mu, var = z.mean(axis=(1, 2)), z.var(axis=(1, 2))
         _, cache = head_forward(params, x, mode="train")
         commit_batch_stats(params, [cache])
-        np.testing.assert_allclose(params.blocks[0].run_mean, 0.1 * mu, atol=1e-10)
-        np.testing.assert_allclose(params.blocks[0].run_var, 0.9 + 0.1 * var, atol=1e-10)
+        np.testing.assert_allclose(params.blocks[0].run_mean, (1.0 - BN_MOMENTUM) * mu, atol=1e-10)
+        np.testing.assert_allclose(params.blocks[0].run_var, BN_MOMENTUM + (1.0 - BN_MOMENTUM) * var, atol=1e-10)
 
     def test_eval_uses_running_stats(self):
         cfg = HeadConfig(feature_dim=4, blocks=1, hidden=3)
@@ -196,15 +195,15 @@ class TestForward:
 
     def test_commit_follows_cache_order_bit_for_bit(self):
         # the in-place rule a train-mode forward once applied, slot after slot
-        params = head_init(HeadConfig(feature_dim=4, blocks=2, hidden=3, bn_momentum=0.8), seed=3)
+        params = head_init(HeadConfig(feature_dim=4, blocks=2, hidden=3), seed=3)
         rng = np.random.default_rng(9)
         caches = [head_forward(params, rng.standard_normal((4, 5, 6)).astype(np.float32), mode="train")[1]
                   for _ in range(4)]
         expect = [(blk.run_mean.copy(), blk.run_var.copy()) for blk in params.blocks]
         for cache in caches:
             for (rm, rv), bc in zip(expect, cache.blocks):
-                rm[:] = 0.8 * rm + (1.0 - 0.8) * bc.mean
-                rv[:] = 0.8 * rv + (1.0 - 0.8) * bc.var
+                rm[:] = BN_MOMENTUM * rm + (1.0 - BN_MOMENTUM) * bc.mean
+                rv[:] = BN_MOMENTUM * rv + (1.0 - BN_MOMENTUM) * bc.var
         commit_batch_stats(params, caches)
         for blk, (rm, rv) in zip(params.blocks, expect):
             np.testing.assert_array_equal(blk.run_mean, rm)
@@ -341,7 +340,7 @@ class TestPersistence:
         manifest = read_head_manifest(tmp_path / "ckpt")
         assert manifest["note"] == "hello"
         assert (tmp_path / "ckpt" / "head.txt").read_text() == (
-            "feature_dim=5\nblocks=2\nhidden=4\nkernel_size=3\nbn_momentum=0.9\nnote=hello\n"
+            "feature_dim=5\nblocks=2\nhidden=4\nkernel_size=3\nnote=hello\n"
         )
 
     def test_conv_bias_format_loads(self, tmp_path):

@@ -379,7 +379,7 @@ class TestConfigValidation:
 
     def test_crop_bounds_order(self):
         with pytest.raises(ValueError):
-            PatchConfig(crop_min_div=2, crop_max_div=8)
+            PatchConfig(crop_max_div=17)  # above the lower bound's divisor, 16
         with pytest.raises(ValueError):
             PatchConfig(crop_max_div=0)  # a divisor of the donor extent
 

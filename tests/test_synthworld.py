@@ -6,6 +6,7 @@ import pytest
 from oodseg.tensorio import IGNORE
 from oodseg.synthworld import (
     NEIGHBORHOOD,
+    SHAPES,
     ArtifactError,
     FrozenModel,
     SceneSpec,
@@ -40,10 +41,6 @@ class TestSceneSpec:
             {"height": 8},
             {"width": 15},
             {"classes": 1},
-            {"noise": 0.5},
-            {"noise": -0.1},
-            {"shapes_min": 4, "shapes_max": 2},
-            {"anomaly_shapes_min": 0},
         ],
     )
     def test_rejects(self, kwargs):
@@ -73,12 +70,12 @@ class TestGenerateScene:
             np.testing.assert_array_equal(labels == IGNORE, anomaly)
 
     def test_every_class_is_drawn(self):
-        spec = SceneSpec(height=32, width=32, classes=4, shapes_min=5, shapes_max=5)
+        spec = SceneSpec(height=32, width=32, classes=4)
         for seed in range(10):
             _, labels, _, shapes = generate_scene(
                 spec, np.random.default_rng(seed), return_shapes=True
             )
-            assert len(shapes) == 5
+            assert SHAPES[0] <= len(shapes) <= SHAPES[1]
             assert {cls for cls, _ in shapes} == {1, 2, 3}
             union = np.zeros((32, 32), dtype=bool)
             for _, mask in shapes:

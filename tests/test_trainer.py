@@ -76,7 +76,6 @@ class TestTrainConfig:
             {"refine_mode": "fixed"},
             {"margin": "soft"},
             {"w_a": -0.5},
-            {"max_abort_frac": 1.5},
             {"seed": -1},
         ],
     )
@@ -159,27 +158,24 @@ class TestTrain:
         with pytest.raises(TrainingAbortedError):
             train(mixed, frozen, tiny_cfg(iterations=8), head_config=HEAD_CFG)
 
-    def test_abort_tolerance(self, frozen, images):
+    def test_abort_tolerance(self, frozen, images, monkeypatch):
+        monkeypatch.setattr(oodseg.trainer, "MAX_ABORT_FRAC", 1.0)
         big = np.zeros((600, 600, 3), dtype=np.uint8)
         mixed = [images[0], big]
-        head, log = train(
-            mixed,
-            frozen,
-            tiny_cfg(iterations=8, max_abort_frac=1.0),
-            head_config=HEAD_CFG,
-        )
+        head, log = train(mixed, frozen, tiny_cfg(iterations=8), head_config=HEAD_CFG)
         assert log.aborted > 0
         assert len(log.records) == 8 - log.aborted
 
-    def test_aborted_iterations_leave_head_untouched(self, frozen, images):
+    def test_aborted_iterations_leave_head_untouched(self, frozen, images, monkeypatch):
+        monkeypatch.setattr(oodseg.trainer, "MAX_ABORT_FRAC", 1.0)
         # full-size square patches cover every pixel: no ID set, so the
         # pooled-set check aborts every iteration
-        full = PatchConfig(crop_min_div=1, crop_max_div=1, policy="square")
-        runs = [(images, tiny_cfg(iterations=3, warmup_iters=0, max_abort_frac=1.0, patch=full))]
+        full = PatchConfig(min_side=32, crop_max_div=1, policy="square")
+        runs = [(images, tiny_cfg(iterations=3, warmup_iters=0, patch=full))]
         # a giant donor's crops never fit the small target, so its pasted
         # region is empty: refinement aborts after the slot's train-mode forward
         big = np.zeros((600, 600, 3), dtype=np.uint8)
-        runs.append(([images[0], big], tiny_cfg(iterations=3, batch_size=4, warmup_iters=0, max_abort_frac=1.0)))
+        runs.append(([images[0], big], tiny_cfg(iterations=3, batch_size=4, warmup_iters=0)))
         init = head_init(HEAD_CFG, seed=0)
         for train_images, cfg in runs:
             head, log = train(train_images, frozen, cfg, head_config=HEAD_CFG)
@@ -258,8 +254,9 @@ class TestTrain:
                 raise
 
         monkeypatch.setattr(oodseg.trainer, "batch_total_loss", spy)
-        full = PatchConfig(crop_min_div=1, crop_max_div=1, policy="square")
-        cfg = tiny_cfg(iterations=3, warmup_iters=0, max_abort_frac=1.0, patch=full)
+        monkeypatch.setattr(oodseg.trainer, "MAX_ABORT_FRAC", 1.0)
+        full = PatchConfig(min_side=32, crop_max_div=1, policy="square")
+        cfg = tiny_cfg(iterations=3, warmup_iters=0, patch=full)
         _, log = train(images, frozen, cfg, head_config=HEAD_CFG)
         assert log.aborted == len(raised) == 3
 
