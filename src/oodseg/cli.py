@@ -6,8 +6,8 @@ dataset, ``fit-frozen`` fits and stores the frozen encoder/decoder,
 ``ablate``/``sweep`` run the comparison grids.  Configuration comes from
 a JSON file validated strictly against the default schema (unknown keys
 are rejected), with ``--set section.key=value`` overrides.  The schema's
-``scene``, ``head``, ``train`` and ``patch`` sections are the fields of
-the matching config dataclasses.  Once a command has its results, its run
+``scene``, ``head`` and ``train`` sections are the fields of the matching
+config dataclasses.  Once a command has its results, its run
 directory receives the config sections (or, for ``eval``, the arguments) it
 read and, where a frozen model was used, that model's digest.
 
@@ -34,7 +34,7 @@ import numpy as np
 from .estimators import HEAD_SCORERS, SCORERS, score_map, save_score_map
 from .head import HeadConfig, load_head, read_head_manifest, save_head
 from .metrics import MetricInputError
-from .patches import DonorTooSmallError, PatchConfig
+from .patches import DonorTooSmallError
 from .synthworld import (
     ArtifactError,
     BadValueError,
@@ -66,9 +66,9 @@ class ConfigError(ValueError):
 
 
 # Config sections backed by a dataclass: their keys, defaults and types are
-# the dataclass fields.  HeadConfig.feature_dim comes from the frozen model
-# and TrainConfig.patch from the "patch" section, so neither is a key.
-SECTIONS = {"scene": SceneSpec, "head": HeadConfig, "train": TrainConfig, "patch": PatchConfig}
+# the dataclass fields.  HeadConfig.feature_dim comes from the frozen model,
+# so it is not a key.
+SECTIONS = {"scene": SceneSpec, "head": HeadConfig, "train": TrainConfig}
 
 DEFAULT_CONFIG: dict = {
     name: {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
@@ -173,10 +173,6 @@ def _section(config: dict, name: str, **extra):
         raise ConfigError(f"{name} config invalid: {exc}") from exc
 
 
-def _train_config(config: dict) -> TrainConfig:
-    return _section(config, "train", patch=_section(config, "patch"))
-
-
 def _gen_data(config: dict, out: Path) -> None:
     data = config["data"]
     export_dataset(
@@ -220,7 +216,7 @@ def cmd_fit_frozen(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, args.set)
-    cfg = _train_config(config)  # before any file is read
+    cfg = _section(config, "train")  # before any file is read
     out = Path(args.out)  # created only once training has finished, but checked now
     nearest = next(path for path in (out, *out.parents) if path.exists())
     if not nearest.is_dir():
@@ -229,7 +225,7 @@ def cmd_train(args) -> int:
     frozen = load_frozen(args.frozen)
     head_cfg = _section(config, "head", feature_dim=frozen.feature_dim)
     head, log = train(images, frozen, cfg, head_cfg)
-    config_sha = _record_run(out, {k: config[k] for k in ("head", "train", "patch")}, frozen)
+    config_sha = _record_run(out, {k: config[k] for k in ("head", "train")}, frozen)
     manifest = {"frozen_digest": frozen_digest(frozen), "lam": repr(cfg.lam), "train_config": config_sha}
     save_head(head, out / "head", extra=manifest)
     write_trainlog_csv(log, out / "trainlog.csv")
@@ -316,7 +312,7 @@ def _train_arm(images, frozen, cfg: TrainConfig, head_cfg: HeadConfig) -> "HeadP
 
 def _write_grid(out: Path, name: str, lines: list[str], frozen: FrozenModel, config: dict) -> None:
     (out / name).write_text("\n".join(lines) + "\n")
-    _record_run(out, config, frozen)  # the grids read all six sections
+    _record_run(out, config, frozen)  # the grids read all five sections
     print("\n".join(lines))
 
 
@@ -331,7 +327,7 @@ ABLATE_ARMS = {
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config, args.set)
-    base = _train_config(config)  # every section is checked before the world is built
+    base = _section(config, "train")  # train and head are checked before the world is built
     head_cfg = _section(config, "head", feature_dim=config["frozen"]["feature_dim"])  # the world's
     out = Path(args.out)
     images, frozen, eval_set = _prepare_world(config, out)
@@ -362,7 +358,7 @@ def cmd_sweep(args) -> int:
     for raw in args.values:  # typed and checked like --set, before any work
         run_cfg = copy.deepcopy(config)
         _merge_strict(run_cfg, _parse_set(f"train.{key}={raw}"))
-        cfgs.append(_train_config(run_cfg))
+        cfgs.append(_section(run_cfg, "train"))
     out = Path(args.out)
     images, frozen, eval_set = _prepare_world(config, out)
     lines = ["param,value,ap,auroc,fpr95"]
@@ -436,10 +432,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BadValueError, DonorTooSmallError) as exc:
+    except (ConfigError, BadValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ArtifactError, TensorFormatError, NetpbmError, OSError, UnicodeDecodeError) as exc:
+    except (ArtifactError, DonorTooSmallError, TensorFormatError, NetpbmError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 3
     except (TrainingAbortedError, TrainingDivergedError, MetricInputError) as exc:

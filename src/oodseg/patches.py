@@ -30,24 +30,11 @@ class DegeneratePolygonError(ValueError):
     """Polygon covers no pixel center."""
 
 
-CROP_MIN_DIV = 16  # crop side lower bound: donor extent / 16, but at least min_side
-
-
-@dataclass(frozen=True)
-class PatchConfig:
-    harris_thresh_frac: float = 0.01
-    harris_nms_radius: int = 2
-    min_side: int = 8
-    crop_max_div: int = 4   # crop side upper bound: donor extent / 4
-    policy: str = "convex"  # "convex" | "square"
-
-    def __post_init__(self):
-        if self.policy not in ("convex", "square"):
-            raise ValueError(f"policy must be 'convex' or 'square', got {self.policy!r}")
-        if self.min_side < 1 or not CROP_MIN_DIV >= self.crop_max_div >= 1:
-            raise ValueError("crop bounds out of order")
-        if self.harris_nms_radius < 0:
-            raise ValueError(f"harris_nms_radius must be >= 0, got {self.harris_nms_radius}")
+MIN_SIDE = 8  # no crop side is shorter; a smaller donor cannot be cropped
+CROP_MIN_DIV = 16  # crop side lower bound: donor extent / 16, but at least MIN_SIDE
+CROP_MAX_DIV = 4  # crop side upper bound: donor extent / 4
+HARRIS_THRESH_FRAC = 0.01  # a corner's response is at least this fraction of the donor's peak
+HARRIS_NMS_RADIUS = 2  # a corner is the strict maximum of its (2r + 1)^2 window
 
 
 @dataclass(frozen=True)
@@ -80,30 +67,27 @@ def luma(image: np.ndarray) -> np.ndarray:
     return ((299 * img[..., 0] + 587 * img[..., 1] + 114 * img[..., 2]) // 1000).astype(np.uint8)
 
 
-def _side_bounds(extent: int, cfg: PatchConfig) -> tuple[int, int]:
-    lo = max(cfg.min_side, extent // CROP_MIN_DIV)
-    hi = max(lo, extent // cfg.crop_max_div)
+def _side_bounds(extent: int) -> tuple[int, int]:
+    lo = max(MIN_SIDE, extent // CROP_MIN_DIV)
+    hi = max(lo, extent // CROP_MAX_DIV)
     return lo, hi
 
 
 def sample_candidates(
-    donor_images: list[np.ndarray],
-    n: int,
-    rng: np.random.Generator,
-    cfg: PatchConfig = PatchConfig(),
+    donor_images: list[np.ndarray], n: int, rng: np.random.Generator
 ) -> list[PatchCandidate]:
     """Draw ``n`` crop rectangles, sides within [extent/16, extent/4] of the
-    chosen donor (clamped to the minimum side)."""
+    chosen donor (clamped to MIN_SIDE)."""
     if not donor_images:
         raise ValueError("need at least one donor image")
     out = []
     for _ in range(n):
         di = int(rng.integers(len(donor_images)))
         h_img, w_img = donor_images[di].shape[:2]
-        if min(h_img, w_img) < cfg.min_side:
-            raise DonorTooSmallError(f"donor {di} is {h_img}x{w_img}, smaller than min_side={cfg.min_side}")
-        h_lo, h_hi = _side_bounds(h_img, cfg)
-        w_lo, w_hi = _side_bounds(w_img, cfg)
+        if min(h_img, w_img) < MIN_SIDE:
+            raise DonorTooSmallError(f"donor {di} is {h_img}x{w_img}, smaller than MIN_SIDE={MIN_SIDE}")
+        h_lo, h_hi = _side_bounds(h_img)
+        w_lo, w_hi = _side_bounds(w_img)
         ph = int(rng.integers(h_lo, h_hi + 1))
         pw = int(rng.integers(w_lo, w_hi + 1))
         y0 = int(rng.integers(h_img - ph + 1))
@@ -138,8 +122,8 @@ def harris_corners(
     gray: np.ndarray,
     k: float = 0.04,
     sigma: float = 1.0,
-    thresh_frac: float = 0.01,
-    nms_radius: int = 2,
+    thresh_frac: float = HARRIS_THRESH_FRAC,
+    nms_radius: int = HARRIS_NMS_RADIUS,
 ) -> list[tuple[int, int]]:
     """Corner points (x, y) of the response R = det(M) - k * trace(M)^2.
 
@@ -176,9 +160,9 @@ def harris_corners(
     return [(j + margin, i + margin) for i, j in np.argwhere(inner).tolist()]
 
 
-def donor_corners(image: np.ndarray, cfg: PatchConfig = PatchConfig()) -> np.ndarray:
+def donor_corners(image: np.ndarray) -> np.ndarray:
     """Harris corners (x, y) of a whole donor's luma, as an int [n, 2] array."""
-    pts = harris_corners(luma(image), thresh_frac=cfg.harris_thresh_frac, nms_radius=cfg.harris_nms_radius)
+    pts = harris_corners(luma(image), thresh_frac=HARRIS_THRESH_FRAC, nms_radius=HARRIS_NMS_RADIUS)
     return np.array(pts, dtype=np.int64).reshape(-1, 2)
 
 
@@ -243,7 +227,6 @@ def _rect_patch(texture: np.ndarray) -> PolygonPatch:
 def build_patches(
     donor_images: list[np.ndarray],
     candidates: list[PatchCandidate],
-    cfg: PatchConfig = PatchConfig(),
     corners: list[np.ndarray] | None = None,
 ) -> list[PolygonPatch]:
     """Carve each candidate crop into a convex polygon patch.
@@ -251,18 +234,15 @@ def build_patches(
     ``corners`` runs parallel to ``donor_images`` and holds each donor's
     ``donor_corners``; None computes them here.  A crop's outline is the
     hull of its donor's corners inside the crop.  Degenerate corner sets
-    (or the "square" policy) keep the whole rectangle instead.
+    keep the whole rectangle instead.
     """
-    if corners is None and cfg.policy == "convex":
-        corners = [donor_corners(image, cfg) for image in donor_images]
+    if corners is None:
+        corners = [donor_corners(image) for image in donor_images]
     patches = []
     for cand in candidates:
         crop = donor_images[cand.donor][
             cand.y0 : cand.y0 + cand.height, cand.x0 : cand.x0 + cand.width
         ]
-        if cfg.policy == "square":
-            patches.append(_rect_patch(crop))
-            continue
         local = corners[cand.donor] - (cand.x0, cand.y0)
         inside = (local >= 0).all(axis=1) & (local[:, 0] < cand.width) & (local[:, 1] < cand.height)
         try:
@@ -306,12 +286,11 @@ def synth_pasted_scene(
     donor_images: list[np.ndarray],
     n_patches: int,
     rng: np.random.Generator,
-    cfg: PatchConfig = PatchConfig(),
     corners: list[np.ndarray] | None = None,
 ) -> PastedScene:
     """Full pipeline: sample crops, carve polygons, paste onto the target.
 
     ``corners`` is as in ``build_patches``."""
-    candidates = sample_candidates(donor_images, n_patches, rng, cfg)
-    patches = build_patches(donor_images, candidates, cfg, corners)
+    candidates = sample_candidates(donor_images, n_patches, rng)
+    patches = build_patches(donor_images, candidates, corners)
     return paste_patches(target, patches, rng)

@@ -45,7 +45,7 @@ class BadValueError(ValueError):
 
 
 NOISE = 0.03             # uniform pixel noise amplitude, fraction of full scale
-SHAPES = (3, 6)          # in-distribution shapes per scene, inclusive bounds
+SHAPES = (3, 6)          # in-distribution shapes per scene, inclusive bounds, but at least one per class
 ANOMALY_SHAPES = (1, 3)  # anomalous shapes per eval scene, inclusive bounds
 
 
@@ -122,7 +122,7 @@ def generate_scene(
     order = list(rng.permutation(n_fam) + 1)
     while len(order) < n_shapes:
         order.append(int(rng.integers(1, spec.classes)))
-    for cls in order[:n_shapes]:
+    for cls in order:
         fam = cls - 1
         kind = _ID_SHAPES[fam % len(_ID_SHAPES)]
         color = _ID_COLORS[fam % len(_ID_COLORS)]

@@ -31,7 +31,7 @@ from .head import (
 )
 from .losses import MARGIN_MODES, DegeneratePartitionError, batch_total_loss, pooled_set_sizes
 from .metrics import EvalResult, evaluate_scores
-from .patches import PatchConfig, donor_corners, synth_pasted_scene
+from .patches import donor_corners, synth_pasted_scene
 from .refine import MODES as REFINE_MODES
 from .refine import EmptyPastedRegionError, refine_partition
 from .synthworld import FrozenModel, frozen_digest, frozen_encoder, seg_logits_map
@@ -67,7 +67,6 @@ class TrainConfig:
     margin: str = "dynamic"
     w_a: float = 1.0
     w_o: float = 1.0
-    patch: PatchConfig = field(default_factory=PatchConfig)
 
     def __post_init__(self):
         if self.iterations < 1 or self.batch_size < 1 or self.n_patches < 1:
@@ -149,7 +148,7 @@ def _prepare_example(
     t_idx = int(rng.integers(len(images)))
     donors = images[:t_idx] + images[t_idx + 1 :]
     donor_pts = corners[:t_idx] + corners[t_idx + 1 :]
-    scene = synth_pasted_scene(images[t_idx], donors, cfg.n_patches, rng, cfg.patch, donor_pts)
+    scene = synth_pasted_scene(images[t_idx], donors, cfg.n_patches, rng, donor_pts)
     feats = frozen_encoder(frozen, scene.image)
     seg = seg_logits_map(frozen, feats)
     jem = jem_map(seg)
@@ -234,7 +233,7 @@ def train(
     adam = AdamState(head)
     log = TrainLog()
     # one Harris pass per training image, keyed by its index in train_images
-    corners = [donor_corners(image, cfg.patch) for image in train_images]
+    corners = [donor_corners(image) for image in train_images]
     slots = [None] * cfg.batch_size
     for it in range(cfg.iterations):
         tic = time.perf_counter()

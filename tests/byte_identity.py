@@ -1,6 +1,6 @@
 """Seeded run of every CLI subcommand, for byte-identity checks between trees.
 
-Runs gen-data, fit-frozen, nine train variants, eval with and without a
+Runs gen-data, fit-frozen, eight train variants, eval with and without a
 head, score for every scorer plus a heatmap, ablate, and sweeps over
 patches, gamma and lambda, all on one small seeded config.  Two more
 gen-data steps write a larger dataset into ``regen`` and then a smaller one
@@ -48,13 +48,14 @@ TRAIN_VARIANTS = {
         "--set", "train.n_patches=40", "--set", "train.per_region=true", "--set", "train.batch_size=4",
     ],
     # most crops become polygons here (few at the defaults), so Harris,
-    # hull and raster changes all reach the bytes
-    "polygons": ["--set", "patch.harris_thresh_frac=1e-4", "--set", "patch.harris_nms_radius=1"],
+    # hull and raster changes all reach the bytes; see STEP_CONSTANTS
+    "polygons": [],
     # 3x3 kernels take the im2col path (_cols/_uncols) that 1x1 kernels skip
     "kernel3": ["--set", "head.kernel_size=3"],
-    # the default policy never takes build_patches' square-policy branch
-    "square": ["--set", "patch.policy=square"],
 }
+
+# step -> oodseg.patches constants set for that step only
+STEP_CONSTANTS = {"train-polygons": {"HARRIS_THRESH_FRAC": 1e-4, "HARRIS_NMS_RADIUS": 1}}
 
 SWEEPS = {"patches": ["3", "5"], "gamma": ["5", "15"], "lambda": ["0.25", "1"]}
 
@@ -102,6 +103,7 @@ def main() -> int:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import oodseg
+    import oodseg.patches
     from oodseg.cli import main as oodseg_main
 
     if Path(oodseg.__file__).resolve().parent != src / "oodseg":
@@ -113,8 +115,14 @@ def main() -> int:
     log = []
     for name, argv in steps():
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = oodseg_main(argv)
+        constants = STEP_CONSTANTS.get(name, {})
+        saved = {key: getattr(oodseg.patches, key) for key in constants}
+        vars(oodseg.patches).update(constants)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = oodseg_main(argv)
+        finally:
+            vars(oodseg.patches).update(saved)
         last_err = (stderr.getvalue().strip().splitlines() or [""])[-1]
         log.append(f"== {name}: exit {rc}\n{stdout.getvalue()}stderr: {last_err}\n")
         print(f"{name}: exit {rc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from oodseg.head import load_head
 from oodseg.synthworld import load_eval_set, load_frozen, save_frozen
 from oodseg.tensorio import read_pgm, read_ppm, read_tensor, write_pgm, write_ppm, write_tensor
 from oodseg.trainer import evaluate, write_eval_csv
+from test_trainer import full_crops
 
 TINY = [
     "--set", "scene.height=32",
@@ -152,7 +153,7 @@ def _assert_is_default(config):
 class TestSchemaRoundTrip:
     def test_every_key_round_trips_through_set(self):
         sets = [f"{section}.{key}={_text(v)}" for section, keys in DEFAULT_CONFIG.items() for key, v in keys.items()]
-        assert len(sets) == 30
+        assert len(sets) == 25
         _assert_is_default(load_config(None, sets))
 
     def test_every_key_round_trips_through_json(self, tmp_path):
@@ -163,13 +164,12 @@ class TestSchemaRoundTrip:
     def test_sections_are_the_dataclass_defaults(self):
         config = load_config(None, [])
         assert _section(config, "scene") == SECTIONS["scene"]()
-        assert _section(config, "patch") == SECTIONS["patch"]()
         assert _section(config, "head", feature_dim=16) == SECTIONS["head"](feature_dim=16)
-        assert _section(config, "train", patch=_section(config, "patch")) == SECTIONS["train"]()
+        assert _section(config, "train") == SECTIONS["train"]()
 
     def test_every_dataclass_field_is_settable(self):
-        # feature_dim comes from the frozen model, train.patch from the patch section
-        supplied = {"head": {"feature_dim"}, "train": {"patch"}}
+        # feature_dim comes from the frozen model
+        supplied = {"head": {"feature_dim"}}
         for section, cls in SECTIONS.items():
             fields = {f.name for f in dataclasses.fields(cls)} - supplied.get(section, set())
             assert set(DEFAULT_CONFIG[section]) == fields, section  # no key beside the fields
@@ -277,13 +277,13 @@ class TestPipeline:
         config = load_config(None, TINY[1::2])  # the SECTION.KEY=VALUE items
         assert record(pipeline / "data") == {k: config[k] for k in ("scene", "data")}
         assert record(pipeline / "frozen") == {k: config[k] for k in ("scene", "frozen")}
-        assert record(pipeline / "run") == {k: config[k] for k in ("head", "train", "patch")}
+        assert record(pipeline / "run") == {k: config[k] for k in ("head", "train")}
         args = ["--frozen", str(pipeline / "frozen"), "--data", str(pipeline / "data")]
         assert main(["eval", *args, "--out", str(tmp_path / "e")]) == 0
         assert record(tmp_path / "e") == {"lam": 0.5, "head": None, "frozen": args[1], "data": args[3]}
         sweep = [*TINY, "--set", "train.iterations=2"]
         assert main(["sweep", *sweep, "--out", str(tmp_path / "s"), "--param", "gamma", "--values", "5"]) == 0
-        assert record(tmp_path / "s") == load_config(None, sweep[1::2])  # all six sections
+        assert record(tmp_path / "s") == load_config(None, sweep[1::2])  # all five sections
 
     def test_eval_and_score_default_to_the_heads_lam(self, pipeline, tmp_path):
         world = ["--data", str(pipeline / "data"), "--frozen", str(pipeline / "frozen")]
@@ -323,6 +323,13 @@ class TestPipeline:
         argv = ["--frozen", str(pipeline / "frozen"), "--image", str(image), "--scorer", "jem"]
         assert main(["score", *argv, "--out", str(tmp_path / "s.tnsr"), "--heatmap", str(heatmap)]) == 0
         assert read_pgm(heatmap).shape == (32, 32)
+
+
+def _unknown_part(key):
+    """What an error names for a key that is no longer in the schema: the key,
+    or its whole section once that section is gone."""
+    section = key.partition(".")[0]
+    return key if section in DEFAULT_CONFIG else section
 
 
 def _edit_manifest(head_dir, old, new):
@@ -436,15 +443,13 @@ class TestExitCodes:
         )
         assert rc == 3
 
-    def test_degenerate_training_is_4(self, pipeline, tmp_path):
+    def test_degenerate_training_is_4(self, pipeline, tmp_path, monkeypatch):
         # full-size square patches cover every pixel, leaving no ID set
+        full_crops(monkeypatch)
         rc = main(
             [
                 "train",
                 *TINY,
-                "--set", "patch.min_side=32",
-                "--set", "patch.crop_max_div=1",
-                "--set", "patch.policy=square",
                 "--data", str(pipeline / "data"),
                 "--frozen", str(pipeline / "frozen"),
                 "--out", str(tmp_path / "r"),
@@ -461,21 +466,27 @@ class TestExitCodes:
         assert main(["eval", *args, "--out", str(tmp_path / "e")]) == 3
 
     @pytest.mark.parametrize(
-        "sets, code",
-        [
-            (["patch.min_side=100"], 2),  # the 32x32 donors are too small
-            (["patch.min_side=32", "patch.crop_max_div=1", "patch.policy=square"], 4),  # degenerate
-            (["train.lr=1e300"], 4),  # diverging
-        ],
+        "case, code",
+        [("min_side", 3), ("degenerate", 4), ("diverging", 4)],
         ids=["min_side", "degenerate", "diverging"],
     )
-    def test_failed_train_leaves_no_out(self, pipeline, tmp_path, capsys, sets, code):
-        world = ["--data", str(pipeline / "data"), "--frozen", str(pipeline / "frozen")]
-        overrides = [arg for expr in sets for arg in ("--set", expr)]
-        assert main(["train", *TINY, *overrides, *world, "--out", str(tmp_path / "r")]) == code
+    def test_failed_train_leaves_no_out(self, pipeline, tmp_path, capsys, monkeypatch, case, code):
+        data, sets = pipeline / "data", []
+        if case == "min_side":  # a well-formed dataset whose 6x6 scenes no config can crop
+            data = tmp_path / "data"
+            shutil.copytree(pipeline / "data", data)
+            for scene in (data / "train").glob("scene_*.ppm"):
+                write_ppm(scene, read_ppm(scene)[:6, :6])
+            _edit_dataset_manifest(data, lambda m: m.update(height=6, width=6))
+        elif case == "degenerate":
+            full_crops(monkeypatch)
+        else:
+            sets = ["--set", "train.lr=1e300"]
+        world = ["--data", str(data), "--frozen", str(pipeline / "frozen")]
+        assert main(["train", *TINY, *sets, *world, "--out", str(tmp_path / "r")]) == code
         assert not (tmp_path / "r").exists()
-        if code == 2:
-            assert "min_side=100" in capsys.readouterr().err
+        if code == 3:
+            assert "smaller than MIN_SIDE=8" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # divergence is reported, not warned about
     def test_diverging_training_is_4(self, pipeline, tmp_path, capsys):
@@ -509,9 +520,6 @@ class TestExitCodes:
             ["eval", "--lam", "nan", "--frozen", "f", "--data", "d"],
             ["score", "--lam", "inf", "--frozen", "f", "--image", "i.ppm"],
             ["score", "--frozen", "f", "--image", "i.ppm"],  # the default scorer needs --head
-            ["train", "--set", "patch.crop_max_div=0", "--data", "DATA", "--frozen", "FROZEN"],
-            ["train", "--set", "patch.harris_nms_radius=-1", "--data", "DATA", "--frozen", "FROZEN"],
-            ["train", "--set", "patch.min_side=100", "--data", "DATA", "--frozen", "FROZEN"],  # 32x32 donors
             ["ablate", "--set", "train.seed=-1"],
             ["sweep", "--set", "head.blocks=0", "--param", "gamma", "--values", "5"],
             ["sweep", "--param", "gamma", "--values", "-5"],
@@ -531,9 +539,6 @@ class TestExitCodes:
             "eval_lam_nan",
             "score_lam_inf",
             "score_no_head",
-            "crop_max_div",
-            "nms_radius",
-            "min_side",
             "ablate_train_seed",
             "sweep_head_blocks",
             "sweep_gamma",
@@ -563,6 +568,11 @@ class TestExitCodes:
             "patch.harris_sigma",
             "frozen.ridge_lambda",
             "train.timing",
+            "patch.harris_thresh_frac",
+            "patch.harris_nms_radius",
+            "patch.min_side",
+            "patch.crop_max_div",
+            "patch.policy",
         ],
     )
     def test_removed_key_is_unknown(self, tmp_path, capsys, key):
@@ -572,7 +582,7 @@ class TestExitCodes:
         config.write_text(json.dumps({section: {name: 1}}))
         for args in (["--set", f"{key}=1"], ["--config", str(config)]):
             assert main(["gen-data", *args, "--out", str(tmp_path / "d")]) == 2
-            assert f"unknown config key {key!r}" in capsys.readouterr().err
+            assert f"unknown config key {_unknown_part(key)!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "expr",
@@ -590,7 +600,7 @@ class TestExitCodes:
     def test_constant_is_not_a_key(self, tmp_path, capsys, expr):
         # each took its constant's value here when it was a key; no run set another
         assert main(["gen-data", *TINY, "--set", expr, "--out", str(tmp_path / "d")]) == 2
-        assert f"unknown config key {expr.partition('=')[0]!r}" in capsys.readouterr().err
+        assert f"unknown config key {_unknown_part(expr.partition('=')[0])!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "reshape",

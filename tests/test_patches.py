@@ -12,7 +12,6 @@ from oodseg.patches import (
     DegeneratePolygonError,
     DonorTooSmallError,
     PatchCandidate,
-    PatchConfig,
     build_patches,
     donor_corners,
     convex_hull,
@@ -240,18 +239,6 @@ class TestRasterize:
 
 
 class TestBuildPatches:
-    def donors(self):
-        rng = np.random.default_rng(17)
-        return [rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)]
-
-    def test_square_policy_keeps_rectangle(self):
-        donors = self.donors()
-        cand = PatchCandidate(donor=0, x0=4, y0=6, width=12, height=10)
-        (patch,) = build_patches(donors, [cand], PatchConfig(policy="square"))
-        assert patch.vertices == [(0.0, 0.0), (12.0, 0.0), (12.0, 10.0), (0.0, 10.0)]
-        assert patch.mask.all() and patch.mask.shape == (10, 12)
-        np.testing.assert_array_equal(patch.texture, donors[0][6:16, 4:16])
-
     def test_flat_crop_falls_back_to_rectangle(self):
         donors = [np.full((64, 64, 3), 80, dtype=np.uint8)]
         cand = PatchCandidate(donor=0, x0=0, y0=0, width=16, height=16)
@@ -371,22 +358,3 @@ class TestSynthPastedScene:
         # pasted pixels come from donors, everything else is the flat target
         assert np.all(a.image[~a.mask] == 30)
 
-
-class TestConfigValidation:
-    def test_bad_policy(self):
-        with pytest.raises(ValueError):
-            PatchConfig(policy="round")
-
-    def test_crop_bounds_order(self):
-        with pytest.raises(ValueError):
-            PatchConfig(crop_max_div=17)  # above the lower bound's divisor, 16
-        with pytest.raises(ValueError):
-            PatchConfig(crop_max_div=0)  # a divisor of the donor extent
-
-    def test_min_side(self):
-        with pytest.raises(ValueError):
-            PatchConfig(min_side=0)
-
-    def test_nms_radius(self):
-        with pytest.raises(ValueError):
-            PatchConfig(harris_nms_radius=-1)

@@ -82,6 +82,13 @@ class TestGenerateScene:
                 union |= mask
             np.testing.assert_array_equal(labels > 0, union)
 
+    def test_more_classes_than_shapes_draws_each(self):
+        # 8 shape classes outnumber SHAPES[1]: each class is still drawn once
+        spec = SceneSpec(height=32, width=32, classes=9)
+        for seed in range(20):
+            *_, shapes = generate_scene(spec, np.random.default_rng(seed), return_shapes=True)
+            assert {cls for cls, _ in shapes} == set(range(1, 9))
+
     def test_deterministic(self):
         a = generate_scene(SPEC, np.random.default_rng(3), anomalies=True)
         b = generate_scene(SPEC, np.random.default_rng(3), anomalies=True)

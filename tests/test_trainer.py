@@ -8,7 +8,8 @@ from oodseg.head import HeadConfig, head_init
 import oodseg.head
 import oodseg.trainer
 from oodseg.losses import DegeneratePartitionError, batch_total_loss
-from oodseg.patches import PatchConfig, donor_corners, synth_pasted_scene
+import oodseg.patches
+from oodseg.patches import donor_corners, synth_pasted_scene
 from oodseg.synthworld import (
     SceneSpec,
     fit_frozen_decoder,
@@ -48,6 +49,14 @@ def eval_set():
         img, _, anom = generate_scene(SPEC, np.random.default_rng([2, i]), anomalies=True)
         out.append((img, anom.astype(np.uint8)))
     return out
+
+
+def full_crops(monkeypatch):
+    """Every crop is a whole 32x32 donor and stays a rectangle (no Harris
+    response reaches twice the peak), so pasted patches cover every pixel."""
+    monkeypatch.setattr(oodseg.patches, "MIN_SIDE", 32)
+    monkeypatch.setattr(oodseg.patches, "CROP_MAX_DIV", 1)
+    monkeypatch.setattr(oodseg.patches, "HARRIS_THRESH_FRAC", 2.0)
 
 
 def tiny_cfg(**kwargs):
@@ -170,15 +179,16 @@ class TestTrain:
         monkeypatch.setattr(oodseg.trainer, "MAX_ABORT_FRAC", 1.0)
         # full-size square patches cover every pixel: no ID set, so the
         # pooled-set check aborts every iteration
-        full = PatchConfig(min_side=32, crop_max_div=1, policy="square")
-        runs = [(images, tiny_cfg(iterations=3, warmup_iters=0, patch=full))]
+        runs = [(images, tiny_cfg(iterations=3, warmup_iters=0), full_crops)]
         # a giant donor's crops never fit the small target, so its pasted
         # region is empty: refinement aborts after the slot's train-mode forward
         big = np.zeros((600, 600, 3), dtype=np.uint8)
-        runs.append(([images[0], big], tiny_cfg(iterations=3, batch_size=4, warmup_iters=0)))
+        runs.append(([images[0], big], tiny_cfg(iterations=3, batch_size=4, warmup_iters=0), lambda mp: None))
         init = head_init(HEAD_CFG, seed=0)
-        for train_images, cfg in runs:
-            head, log = train(train_images, frozen, cfg, head_config=HEAD_CFG)
+        for train_images, cfg, constants in runs:
+            with monkeypatch.context() as mp:
+                constants(mp)
+                head, log = train(train_images, frozen, cfg, head_config=HEAD_CFG)
             assert log.aborted == 3 and not log.records
             for blk, blk0 in zip(head.blocks, init.blocks):
                 np.testing.assert_array_equal(blk.run_mean, blk0.run_mean)
@@ -225,9 +235,9 @@ class TestTrain:
         # each donor's corners must shift with it
         calls = []
 
-        def spy(target, donors, n_patches, rng, cfg, corners):
+        def spy(target, donors, n_patches, rng, corners):
             calls.append((target, donors, corners))
-            return synth_pasted_scene(target, donors, n_patches, rng, cfg, corners)
+            return synth_pasted_scene(target, donors, n_patches, rng, corners)
 
         monkeypatch.setattr(oodseg.trainer, "synth_pasted_scene", spy)
         train(images, frozen, tiny_cfg(iterations=3), head_config=HEAD_CFG)
@@ -255,9 +265,8 @@ class TestTrain:
 
         monkeypatch.setattr(oodseg.trainer, "batch_total_loss", spy)
         monkeypatch.setattr(oodseg.trainer, "MAX_ABORT_FRAC", 1.0)
-        full = PatchConfig(min_side=32, crop_max_div=1, policy="square")
-        cfg = tiny_cfg(iterations=3, warmup_iters=0, patch=full)
-        _, log = train(images, frozen, cfg, head_config=HEAD_CFG)
+        full_crops(monkeypatch)
+        _, log = train(images, frozen, tiny_cfg(iterations=3, warmup_iters=0), head_config=HEAD_CFG)
         assert log.aborted == len(raised) == 3
 
     @pytest.mark.parametrize("per_region", [False, True])
