@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -239,16 +240,13 @@ def _load_matched_head(head_dir: str | None, frozen, lam: float | None):
     A head written before λ was recorded, or no head, scores at 0.5."""
     if head_dir is None:
         return None, 0.5 if lam is None else lam
-    head = load_head(head_dir)
     meta = read_head_manifest(head_dir)
-    recorded = meta.get("frozen_digest")
+    head = load_head(head_dir, meta)
+    recorded, digest = meta.get("frozen_digest"), frozen_digest(frozen)
     if recorded is None:
         raise ArtifactError(f"head checkpoint under {head_dir} records no frozen_digest")
-    if recorded != frozen_digest(frozen):
-        raise ArtifactError(
-            f"head checkpoint was trained against frozen model {recorded[:12]}, "
-            f"got {frozen_digest(frozen)[:12]}"
-        )
+    if recorded != digest:
+        raise ArtifactError(f"head checkpoint was trained against frozen model {recorded[:12]}, got {digest[:12]}")
     head_lam = math.nan
     with contextlib.suppress(ValueError):
         head_lam = float(meta.get("lam", "0.5"))
@@ -370,6 +368,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; it keeps no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oodseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -381,19 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     with_config(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("fit-frozen", help="fit and store the frozen encoder/decoder")
     with_config(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit_frozen)
 
     p = sub.add_parser("train", help="train the anomaly head")
     with_config(p)
     p.add_argument("--data", required=True)
     p.add_argument("--frozen", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score one image into a TNSR map")
     p.add_argument("--head", default=None)
@@ -403,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer", default="combined", choices=SCORERS)
     p.add_argument("--lam", type=float, default=None, help="default: the head's training lam, else 0.5")
     p.add_argument("--heatmap", default=None, help="optional PGM visualization")
-    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("eval", help="evaluate scorers against eval ground truth")
     p.add_argument("--head", default=None)
@@ -411,19 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--lam", type=float, default=None, help="default: the head's training lam, else 0.5")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="estimator and margin ablation grid")
     with_config(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="sensitivity sweep over one parameter")
     with_config(p)
     p.add_argument("--out", required=True)
     p.add_argument("--param", required=True)
     p.add_argument("--values", nargs="+", required=True)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -431,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # cmd_<command> is looked up at call time, so a rebound command is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ConfigError, BadValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

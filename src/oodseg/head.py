@@ -20,6 +20,16 @@ train-mode forward returns its batch statistics in the cache, and
 ``commit_batch_stats`` folds them into the running statistics later, so
 a caller can drop a forward (an aborted training iteration) without
 moving any state.
+
+Eval mode folds batchnorm into the weights once per call, then walks the
+map in row bands of about ``TILE_PIXELS`` pixels, each with a halo of
+``blocks * (kernel_size // 2)`` rows on either side that is cropped after
+the last block, so one path serves every kernel size.  Band logits equal
+a full-map pass byte for byte where each band holds a multiple of 8
+pixels, as every width divisible by 8 gives (64x64, the only size a
+shipped config or the golden record uses; 32x32, 16x16, 48x80; kernels 1
+and 3).  Elsewhere (37x53, 70x70) they differ by at most 5e-16 of the
+largest logit: OpenBLAS's dgemm rounds ragged edge columns on their own path.
 """
 
 from __future__ import annotations
@@ -34,6 +44,11 @@ from .tensorio import ArtifactError, read_tensor, write_tensor
 OUT_CHANNELS = 2
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9  # running statistic weight per committed batch
+# Eval bands: a [32, 512] float64 activation is 128 KiB, glibc's default mmap
+# threshold, so a band's temporaries come back from the heap and stay in L2,
+# where a full-map array per block is mapped and page-faulted in every call.
+TILE_PIXELS = 512
+BAND_HALOS = 8  # a band is at least this many halos tall, so halo rows stay a small share
 
 
 class HeadShapeError(ValueError):
@@ -188,8 +203,8 @@ def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval"):
     Train mode normalizes with this map's own spatial statistics and
     returns the cache needed by ``head_backward``, which also carries those
     statistics for ``commit_batch_stats``; the running statistics are left
-    untouched.  Eval mode uses running statistics and returns None for the
-    cache.
+    untouched.  Eval mode uses running statistics, runs over row bands
+    (``_eval_bands``) and returns None for the cache.
 
     Logits come back in the precision of the computation (see the module
     docstring).
@@ -202,21 +217,13 @@ def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval"):
         raise HeadShapeError(f"expected [{cfg.feature_dim}, H, W] features, got {x.shape}")
     dtype = np.float32 if x.dtype == np.float32 else np.float64
     x = x.astype(dtype, copy=False)
+    if mode == "eval":
+        return _eval_bands(params, x), None
     h, w = x.shape[1:]
-    train = mode == "train"
     caches: list[_BlockCache] = []
     for blk in params.blocks:
         cols = _cols(x, cfg.kernel_size)
-        w2 = blk.w.reshape(blk.w.shape[0], -1)
-        if not train:
-            # eval-mode batchnorm is a fixed per-channel affine map, so fold
-            # it into the convolution: one matmul and one ReLU per block
-            scale = blk.gamma / np.sqrt(blk.run_var + BN_EPSILON)
-            a = (w2 * scale[:, None]).astype(dtype) @ cols
-            a += ((-blk.run_mean) * scale + blk.beta).astype(dtype)[:, None]
-            x = np.maximum(a, 0.0, out=a).reshape(-1, h, w)
-            continue
-        z = w2.astype(dtype) @ cols
+        z = blk.w.reshape(blk.w.shape[0], -1).astype(dtype) @ cols
         n = z.shape[1]
         mean = _row_sums(z) / n
         z -= mean.astype(dtype)[:, None]
@@ -230,10 +237,35 @@ def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval"):
         x = a.reshape(-1, h, w)
     logits = params.out_w.astype(dtype) @ x.reshape(x.shape[0], -1)
     logits += params.out_b.astype(dtype)[:, None]
-    logits = logits.reshape(OUT_CHANNELS, h, w)
-    if not train:
-        return logits, None
-    return logits, HeadCache(params=params, blocks=caches, a_last=x)
+    return logits.reshape(OUT_CHANNELS, h, w), HeadCache(params=params, blocks=caches, a_last=x)
+
+
+def _eval_bands(params: HeadParams, x: np.ndarray) -> np.ndarray:
+    """Eval-mode logits [2, H, W], one haloed row band at a time (module
+    docstring); batchnorm is a fixed affine map here, folded into the weights."""
+    k, dtype = params.config.kernel_size, x.dtype
+    h, w = x.shape[1:]
+    folded = []
+    for blk in params.blocks:
+        scale = blk.gamma / np.sqrt(blk.run_var + BN_EPSILON)
+        w2 = blk.w.reshape(blk.w.shape[0], -1) * scale[:, None]
+        folded.append((w2.astype(dtype), ((-blk.run_mean) * scale + blk.beta).astype(dtype)[:, None]))
+    out_w = params.out_w.astype(dtype)
+    halo = len(folded) * (k // 2)  # rows the blocks' 'same' padding spoils at a band edge
+    rows = max(1, TILE_PIXELS // max(w, 1), BAND_HALOS * halo)
+    logits = np.empty((OUT_CHANNELS, h, w), dtype=dtype)
+    for top in range(0, h, rows):
+        bottom = min(top + rows, h)
+        lo, hi = max(top - halo, 0), min(bottom + halo, h)
+        a = x[:, lo:hi]
+        for w2, bias in folded:
+            a = w2 @ _cols(a, k)
+            a += bias
+            a = np.maximum(a, 0.0, out=a).reshape(-1, hi - lo, w)
+        band = a[:, top - lo : bottom - lo].reshape(a.shape[0], -1)
+        np.matmul(out_w, band, out=logits[:, top:bottom].reshape(OUT_CHANNELS, -1))
+    logits += params.out_b.astype(dtype)[:, None, None]
+    return logits
 
 
 def commit_batch_stats(params: HeadParams, caches: list[HeadCache]) -> None:
@@ -329,12 +361,13 @@ def read_head_manifest(ckpt_dir: str | Path) -> dict[str, str]:
     return meta
 
 
-def load_head(ckpt_dir: str | Path) -> HeadParams:
-    """Checkpoint written by ``save_head``; every tensor must have the shape
-    its manifest's config implies, else ``ArtifactError``.  Each tensor is
-    read and checked before any parameter is built."""
+def load_head(ckpt_dir: str | Path, meta: dict[str, str] | None = None) -> HeadParams:
+    """Checkpoint written by ``save_head``; every tensor must be finite and
+    have the shape its manifest's config implies, else ``ArtifactError``.
+    Each tensor is read and checked before any parameter is built.  ``meta``
+    is the checkpoint's manifest if the caller has already read it."""
     ckpt = Path(ckpt_dir)
-    meta = read_head_manifest(ckpt)
+    meta = read_head_manifest(ckpt) if meta is None else meta
     for key, val in _LEGACY_LINES.items():
         if meta.get(key, val) != val:
             raise ArtifactError(f"head under {ckpt} has {key}={meta[key]}; only {key}={val} is supported")
@@ -347,4 +380,6 @@ def load_head(ckpt_dir: str | Path) -> HeadParams:
         arrays[name] = read_tensor(ckpt / _tensor_file(name))
         if arrays[name].shape != shape:
             raise ArtifactError(f"{name} has shape {arrays[name].shape} in {ckpt}, config implies {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise ArtifactError(f"{name} in {ckpt} holds a value that is not finite")
     return _assemble(cfg, arrays)

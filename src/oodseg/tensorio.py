@@ -108,6 +108,8 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
     need = count * 8
     if len(blob) - off < need:
         raise TruncatedPayloadError(f"payload needs {need} bytes, have {len(blob) - off}")
+    if len(blob) - off > need:
+        raise TensorFormatError(f"{len(blob) - off - need} bytes past the {need}-byte payload")
     flat = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
     return flat.astype(np.float64).reshape(dims)
 

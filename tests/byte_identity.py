@@ -1,7 +1,8 @@
 """Seeded run of every CLI subcommand, for byte-identity checks between trees.
 
 Runs gen-data, fit-frozen, eight train variants, eval with and without a
-head, score for every scorer plus a heatmap, ablate, and sweeps over
+head, score for every scorer plus a heatmap, eval and score with the 3x3
+head, ablate, and sweeps over
 patches, gamma and lambda, all on one small seeded config.  Two more
 gen-data steps write a larger dataset into ``regen`` and then a smaller one
 over it, so the removal of an earlier export's extra scene files and the
@@ -74,9 +75,14 @@ def steps() -> list[tuple[str, list[str]]]:
     ]
     for name, sets in TRAIN_VARIANTS.items():
         out.append((f"train-{name}", ["train", *SMALL, *sets, *world, "--out", f"train_{name}"]))
+    head3 = ["--head", "train_kernel3/head", "--frozen", "frozen"]
     out += [
         ("eval-head", ["eval", *head, "--data", "data", "--out", "eval_head"]),
         ("eval-headless", ["eval", "--frozen", "frozen", "--data", "data", "--out", "eval_headless"]),
+        # a 3x3 head's eval bands carry halo rows, which 1x1 heads do not
+        ("eval-kernel3", ["eval", *head3, "--data", "data", "--out", "eval_kernel3"]),
+        ("score-kernel3", ["score", *head3, "--image", "data/eval/scene_0000.ppm", "--out", "score/kernel3.tnsr",
+                           "--heatmap", "score/kernel3.pgm"]),
     ]
     for scorer in ("combined", "tae", "tore", "jem", "msp", "entropy", "max_logit"):
         out.append((f"score-{scorer}", [*score, "--scorer", scorer, "--out", f"score/{scorer}.tnsr"]))

@@ -12,9 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oodseg.head
 from oodseg.head import (
     BN_EPSILON,
     BN_MOMENTUM,
+    BAND_HALOS,
+    TILE_PIXELS,
     HeadConfig,
     commit_batch_stats,
     HeadShapeError,
@@ -245,6 +248,80 @@ class TestForward:
         np.testing.assert_allclose(logits, expected, atol=1e-12)
 
 
+def trained_like(cfg, seed):
+    """Parameters whose running statistics, gamma, beta and output bias all
+    differ from their fresh values, so that folding each of them shows."""
+    params = head_init(cfg, seed=seed)
+    rng = np.random.default_rng([seed, 1])
+    for blk in params.blocks:
+        blk.run_mean[:] = 0.3 * rng.standard_normal(cfg.hidden)
+        blk.run_var[:] = rng.uniform(0.5, 2.0, cfg.hidden)
+        blk.gamma[:] = rng.uniform(0.5, 1.5, cfg.hidden)
+        blk.beta[:] = 0.1 * rng.standard_normal(cfg.hidden)
+    params.out_b[:] = rng.standard_normal(2)
+    return params
+
+
+def full_map_eval(params, x):
+    """Eval logits in one pass over the whole map: each block's batchnorm
+    folded into its weights, one matmul over zero-padded columns, a bias
+    and a ReLU, then the output projection."""
+    k, dtype = params.config.kernel_size, x.dtype
+    r = k // 2
+    for blk in params.blocks:
+        c, h, w = x.shape
+        win = np.lib.stride_tricks.sliding_window_view(np.pad(x, ((0, 0), (r, r), (r, r))), (k, k), axis=(1, 2))
+        cols = win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, h * w)
+        scale = blk.gamma / np.sqrt(blk.run_var + BN_EPSILON)
+        a = (blk.w.reshape(blk.w.shape[0], -1) * scale[:, None]).astype(dtype) @ cols
+        a += ((-blk.run_mean) * scale + blk.beta).astype(dtype)[:, None]
+        x = np.maximum(a, 0.0).reshape(-1, h, w)
+    logits = params.out_w.astype(dtype) @ x.reshape(x.shape[0], -1)
+    logits += params.out_b.astype(dtype)[:, None]
+    return logits.reshape(2, h, w)
+
+
+class TestEvalBands:
+    """Eval mode runs over haloed row bands; its logits are the full-map pass's."""
+
+    @staticmethod
+    def both(k, shape, seed=0, dtype=np.float64):
+        cfg = HeadConfig(feature_dim=16, kernel_size=k)
+        params = trained_like(cfg, seed)
+        x = np.random.default_rng([seed, 2]).standard_normal((16,) + shape).astype(dtype)
+        return head_forward(params, x, mode="eval")[0], full_map_eval(params, x)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("shape", [(64, 64), (32, 32)])
+    def test_byte_equal_to_the_full_map(self, k, shape):
+        for seed in range(3):
+            bands, full = self.both(k, shape, seed)
+            assert bands.tobytes() == full.tobytes()
+
+    def test_kernel3_halo_across_several_bands(self, monkeypatch):
+        halo = 3  # three 3x3 blocks
+        assert 40 > max(TILE_PIXELS // 64, BAND_HALOS * halo)  # at least two bands at the defaults
+        bands, full = self.both(3, (40, 64))
+        assert bands.tobytes() == full.tobytes()
+        # bands one halo tall: every band borrows its rows from both neighbours
+        monkeypatch.setattr(oodseg.head, "TILE_PIXELS", 1)
+        monkeypatch.setattr(oodseg.head, "BAND_HALOS", 1)
+        bands, full = self.both(3, (40, 64))
+        assert bands.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("shape", [(37, 53), (16, 600)], ids=["ragged", "wider_than_a_band"])
+    def test_close_to_the_full_map_elsewhere(self, k, shape):
+        # band widths that are not a multiple of 8 round on OpenBLAS's edge path
+        bands, full = self.both(k, shape)
+        assert np.max(np.abs(bands - full)) <= 1e-12 * np.max(np.abs(full))
+
+    def test_float32_in_float32_out(self):
+        bands, full = self.both(3, (40, 64), dtype=np.float32)
+        assert bands.dtype == np.float32
+        np.testing.assert_allclose(bands, full, rtol=0, atol=1e-5 * np.max(np.abs(full)))
+
+
 class TestBackward:
     def test_gradcheck_default_blocks(self):
         cfg = HeadConfig(feature_dim=4, blocks=2, hidden=5)
@@ -406,4 +483,15 @@ class TestPersistence:
         path = tmp_path / "ckpt" / "out_w.tnsr"
         write_tensor(path, read_tensor(path).reshape(32, 2))
         with pytest.raises(ArtifactError):
+            load_head(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("leaf", ["block0_w", "block1_run_var", "out_b"])
+    def test_non_finite_tensor_is_artifact_error(self, tmp_path, leaf, value):
+        save_head(head_init(HeadConfig(feature_dim=4), seed=0), tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / f"{leaf}.tnsr"
+        arr = read_tensor(path)
+        arr.reshape(-1)[-1] = value
+        write_tensor(path, arr)
+        with pytest.raises(ArtifactError, match="not finite"):
             load_head(tmp_path / "ckpt")

@@ -83,6 +83,12 @@ class TestTensorErrors:
         with pytest.raises(TruncatedPayloadError):
             tensor_from_bytes(blob[:-1])
 
+    def test_bytes_past_the_payload(self):
+        blob = tensor_bytes(np.zeros(8))
+        for extra in (b"\x00", b"\x00" * 4, tensor_bytes(np.zeros(1))):
+            with pytest.raises(TensorFormatError, match="past the 64-byte payload"):
+                tensor_from_bytes(blob + extra)
+
     def test_unknown_dtype_code(self):
         for code in (0, 7):  # 0 was float32, which TNSR no longer stores
             blob = bytearray(tensor_bytes(np.zeros(2)))
