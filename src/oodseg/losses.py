@@ -18,6 +18,8 @@ get exactly zero gradient.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 MARGIN_MODES = ("dynamic", "static")
@@ -36,12 +38,21 @@ def pooled_set_sizes(partitions) -> tuple[int, int]:
     return n_ood, n_id
 
 
-def _stack(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Logits [B, 2, H, W] and the anomaly and in-distribution masks [B, H, W]."""
+# One stack of a batch: logits [B, 2, H, W], the anomaly and in-distribution
+# masks and jem [B, H, W], and the pooled set sizes.  Every loss function
+# also takes one as its ``items``.
+_Batch = namedtuple("_Batch", "logits ood idm jem n_ood n_id")
+
+
+def _stack(items) -> _Batch:
+    if isinstance(items, _Batch):
+        return items
+    n_ood, n_id = pooled_set_sizes([p for _, _, p in items])
     logits = np.stack([logits for logits, _, _ in items])
     ood = np.stack([part.ood_mask for _, _, part in items])
     idm = np.stack([part.id_mask for _, _, part in items])
-    return logits, ood, idm
+    jem = None if items[0][1] is None else np.stack([jem for _, jem, _ in items])  # None: no term reads it
+    return _Batch(logits, ood, idm, jem, n_ood, n_id)
 
 
 def batch_loss_tae(items) -> tuple[float, np.ndarray]:
@@ -50,15 +61,14 @@ def batch_loss_tae(items) -> tuple[float, np.ndarray]:
     (head_logits [2,H,W], jem_values, partition) triples of one shape; jem
     is unused here.  The gradient comes back as one [B, 2, H, W] array.
     """
-    n_ood, n_id = pooled_set_sizes([p for _, _, p in items])
-    logits, ood, idm = _stack(items)
+    logits, ood, idm, _, n_ood, n_id = _stack(items)
     m = np.max(logits, axis=1, keepdims=True)
     lp = logits - m - np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
     # the pooled value adds per-image masked sums, image by image
-    value = sum(-lp[b, 1][ood[b]].sum() / n_ood - lp[b, 0][idm[b]].sum() / n_id for b in range(len(items)))
-    # d(-log p_o)/dlogits = softmax - onehot(o), averaged per set
+    value = sum(-lp[b, 1][ood[b]].sum() / n_ood - lp[b, 0][idm[b]].sum() / n_id for b in range(len(logits)))
+    # d(-log p_o)/dlogits = softmax - onehot(o), averaged per set; ignored pixels keep 0.0
     d = np.exp(lp) - np.stack([idm, ood], axis=1)
-    grads = np.where(ood[:, None], d / n_ood, np.where(idm[:, None], d / n_id, 0.0))
+    grads = np.divide(d, np.where(ood, n_ood, n_id)[:, None], out=np.zeros_like(d), where=(ood | idm)[:, None])
     return float(value), grads
 
 
@@ -72,11 +82,10 @@ def batch_loss_tore(items, gamma: float, margin: str = "dynamic") -> tuple[float
     """
     if margin not in MARGIN_MODES:
         raise ValueError(f"margin must be one of {MARGIN_MODES}, got {margin!r}")
-    n_ood, n_id = pooled_set_sizes([p for _, _, p in items])
-    logits, ood, idm = _stack(items)
-    s = logits[:, 1] + np.stack([jem for _, jem, _ in items]) if margin == "dynamic" else logits[:, 1]
-    mean_id = sum(s[b][idm[b]].sum() / n_id for b in range(len(items)))
-    mean_ood = sum(s[b][ood[b]].sum() / n_ood for b in range(len(items)))
+    logits, ood, idm, jem, n_ood, n_id = _stack(items)
+    s = logits[:, 1] + jem if margin == "dynamic" else logits[:, 1]
+    mean_id = sum(s[b][idm[b]].sum() / n_id for b in range(len(logits)))
+    mean_ood = sum(s[b][ood[b]].sum() / n_ood for b in range(len(logits)))
     arg = mean_id - mean_ood + gamma
     grads = np.zeros_like(logits)
     if arg > 0.0:  # subgradient at exactly zero is zero
@@ -91,6 +100,7 @@ def batch_total_loss(
     w_o: float = 1.0,
     margin: str = "dynamic",
 ) -> tuple[float, float, float, np.ndarray]:
-    l_a, grads_a = batch_loss_tae(items)
-    l_o, grads_o = batch_loss_tore(items, gamma, margin)
+    batch = _stack(items)  # both terms read one stack
+    l_a, grads_a = batch_loss_tae(batch)
+    l_o, grads_o = batch_loss_tore(batch, gamma, margin)
     return w_a * l_a + w_o * l_o, l_a, l_o, w_a * grads_a + w_o * grads_o

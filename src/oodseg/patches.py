@@ -245,6 +245,9 @@ def build_patches(
         ]
         local = corners[cand.donor] - (cand.x0, cand.y0)
         inside = (local >= 0).all(axis=1) & (local[:, 0] < cand.width) & (local[:, 1] < cand.height)
+        if np.count_nonzero(inside) < 3:  # too few corners for a hull, as in most crops
+            patches.append(_rect_patch(crop))
+            continue
         try:
             hull = convex_hull(local[inside].tolist())
             mask = rasterize(hull, crop.shape[1], crop.shape[0])
@@ -275,9 +278,12 @@ def paste_patches(
         y0 = int(rng.integers(h_t - ph + 1))
         x0 = int(rng.integers(w_t - pw + 1))
         sub = (slice(y0, y0 + ph), slice(x0, x0 + pw))
-        img[sub][patch.mask] = patch.texture[patch.mask]
-        mask[sub] |= patch.mask
-        ids[sub][patch.mask] = idx + 1
+        if patch.mask.all():  # a rectangle: slice copies, no masked indexing
+            img[sub], mask[sub], ids[sub] = patch.texture, True, idx + 1
+        else:
+            img[sub][patch.mask] = patch.texture[patch.mask]
+            mask[sub] |= patch.mask
+            ids[sub][patch.mask] = idx + 1
     return PastedScene(image=img, mask=mask, region_ids=ids, skipped=skipped)
 
 

@@ -8,7 +8,8 @@ pasted score, minimizing either the plain sum of within-group variances
 the pasted region at or above the winning threshold become the anomaly set,
 the rest of the pasted region is ignored, and everything outside is the
 in-distribution set.  Mode "none" skips the search and keeps the whole
-pasted region as anomalies.
+pasted region as anomalies.  Per-region thresholds are searched for all
+regions in one batched pass, bit for bit the thresholds of one search each.
 """
 
 from __future__ import annotations
@@ -52,11 +53,53 @@ def threshold_objective(scores, eta: float, mode: str = "eq11") -> float:
     return (hi.size * var_hi + lo.size * var_lo) / s.size
 
 
-def search_threshold(scores, mode: str = "eq11") -> float:
+def _grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``np.linspace(lo[g], hi[g], NUM_BINS)`` for every row g.  One linspace
+    over arrays takes its subnormal branch for all rows if any step is 0."""
+    delta, i = (hi - lo)[:, None], np.arange(NUM_BINS, dtype=np.float64)
+    grid = i * (delta / (NUM_BINS - 1))
+    zero_step = grid[:, 1] == 0
+    if zero_step.any():
+        grid[zero_step] = i / (NUM_BINS - 1) * delta[zero_step]
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    return grid
+
+
+def _group_means(v, sizes, member_group):
+    """Each group's ``.mean()``, bit for bit.  reduceat adds the pairwise sum
+    of a group's other values to its first, so each group is led by a zero."""
+    led = np.zeros(v.size + sizes.size)
+    led[np.arange(v.size) + member_group + 1] = v
+    return np.add.reduceat(led, np.cumsum(sizes + 1) - sizes - 1) / sizes
+
+
+def _counts_below(v, member_group, lo, hi, cands):
+    """``np.searchsorted(group g's scores, cands[g])`` for every group g.
+
+    Each score counts the candidates at or below it: a guess from the grid's
+    step, corrected against the candidates on either side until they agree
+    (a row of the grid never decreases).  A score lies below candidate i
+    exactly when its count is at most i.
+    """
+    spread = np.where(hi > lo, hi - lo, np.inf)  # a constant group's scores reach every candidate
+    reached = ((v - lo[member_group]) / spread[member_group] * (NUM_BINS - 1)).astype(np.intp)
+    reached += np.where(hi > lo, 1, NUM_BINS)[member_group]
+    edges = np.hstack([cands, np.full((lo.size, 1), np.inf)]).ravel()  # a sentinel ends each row
+    base = member_group * (NUM_BINS + 1)
+    while (move := (edges[base + reached] <= v).astype(np.intp) - (edges[base + reached - 1] > v)).any():
+        reached += move
+    per_count = np.bincount(base + reached, minlength=edges.size).reshape(lo.size, NUM_BINS + 1)
+    return np.cumsum(per_count, axis=1)[:, :NUM_BINS]
+
+
+def search_threshold(scores, mode: str = "eq11", groups=None):
     """Best threshold among ``NUM_BINS`` evenly spaced candidates.
 
     Ties go to the smallest candidate, which keeps the upper group as
-    large as possible.
+    large as possible.  ``groups``, one non-negative integer label per
+    score, searches every label's scores in one vectorized pass and returns
+    one threshold per label present, in label order.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"mode must be one of {SEARCH_MODES}, got {mode!r}")
@@ -65,30 +108,49 @@ def search_threshold(scores, mode: str = "eq11") -> float:
         raise EmptyPastedRegionError("cannot search threshold over an empty score set")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
-    lo, hi = float(s.min()), float(s.max())
-    if lo == hi:
-        return lo
-    cands = np.linspace(lo, hi, NUM_BINS)
-    srt = np.sort(s)
+    if groups is None:
+        v, sizes = np.sort(s), np.array([s.size])
+        means = np.array([v.mean()])
+    else:
+        labels = np.asarray(groups).ravel()
+        if labels.shape != s.shape:
+            raise ValueError(f"need one group label per score, got {labels.shape} for {s.shape}")
+        counts = np.bincount(labels)
+        sizes = counts[counts > 0]
+        # sorted by score, then stably by group: small ints sort by radix
+        to_group = (np.cumsum(counts > 0) - 1).astype(np.uint16 if sizes.size <= 1 << 16 else np.intp)
+        by_score = np.argsort(s)
+        v = s[by_score[np.argsort(to_group[labels[by_score]], kind="stable")]]
+        member_group = np.repeat(np.arange(sizes.size), sizes)
+        means = _group_means(v, sizes, member_group)
+    n = sizes[:, None]
+    starts = np.cumsum(sizes) - sizes
+    lo, hi = v[starts] + 0.0, v[starts + sizes - 1] + 0.0  # a zero endpoint is +0.0, either sort order
+    cands = _grid(lo, hi)
+    k = np.searchsorted(v, cands) if groups is None else _counts_below(v, member_group, lo, hi, cands)
     # center first: group variances from prefix sums of centered values stay
-    # accurate even when the mean dwarfs the spread
-    d = srt - srt.mean()
-    p1 = np.r_[0.0, np.cumsum(d)]
-    p2 = np.r_[0.0, np.cumsum(d * d)]
-    n = s.size
-    k = np.searchsorted(srt, cands, side="left")  # group sizes below each candidate
+    # accurate even when the mean dwarfs the spread.  A row holds a zero, one
+    # group's values, then zeros; its cumsum is the group's own prefix sum.
+    p1 = np.zeros((sizes.size, sizes.max() + 1))
+    p1[:, 1:][np.arange(sizes.max()) < n] = v - np.repeat(means, sizes)
+    p2 = np.cumsum(p1 * p1, axis=1)
+    p1 = np.cumsum(p1, axis=1)
+    at = k + np.arange(0, p1.size, p1.shape[1])[:, None]
+    p1_k, p2_k = p1.take(at), p2.take(at)
+    p1_n, p2_n = p1[:, -1:], p2[:, -1:]  # each row's total, carried to its end
     k_lo = k.astype(np.float64)
-    k_hi = (n - k).astype(np.float64)
+    k_hi = n - k_lo
     with np.errstate(divide="ignore", invalid="ignore"):
-        var_lo = p2[k] / k_lo - (p1[k] / k_lo) ** 2
-        var_hi = (p2[n] - p2[k]) / k_hi - ((p1[n] - p1[k]) / k_hi) ** 2
-    var_lo = np.where(k < 2, 0.0, np.maximum(var_lo, 0.0))
-    var_hi = np.where(n - k < 2, 0.0, np.maximum(var_hi, 0.0))
+        var_lo = p2_k / k_lo - (p1_k / k_lo) ** 2
+        var_hi = (p2_n - p2_k) / k_hi - ((p1_n - p1_k) / k_hi) ** 2
+    var_lo = np.where(k_lo < 2, 0.0, np.maximum(var_lo, 0.0))
+    var_hi = np.where(k_hi < 2, 0.0, np.maximum(var_hi, 0.0))
     if mode == "eq11":
         obj = var_hi + var_lo
     else:
         obj = (k_hi * var_hi + k_lo * var_lo) / n
-    return float(cands[np.argmin(obj)])  # argmin takes the first (smallest) tie
+    eta = np.where(lo == hi, lo, cands[np.arange(sizes.size), np.argmin(obj, axis=1)])  # first (smallest) tie
+    return float(eta[0]) if groups is None else eta
 
 
 def refine_partition(
@@ -101,9 +163,9 @@ def refine_partition(
     """Split an image into anomaly / in-distribution / ignored pixel sets.
 
     Pooled by default: one threshold over every pasted pixel.  With
-    ``per_region`` each pasted region (by id) gets its own threshold.
-    Mode "none" keeps every pasted pixel; its ``eta`` is the lowest pasted
-    score.
+    ``per_region`` each pasted region (by non-negative integer id) gets its
+    own threshold, all from one ``search_threshold`` call.  Mode "none"
+    keeps every pasted pixel; its ``eta`` is the lowest pasted score.
     """
     scores = np.asarray(score_values, dtype=np.float64)
     pasted = np.asarray(pasted_mask, dtype=bool)
@@ -114,12 +176,17 @@ def refine_partition(
     per_region = per_region and mode != "none"
     if per_region and region_ids is None:
         raise ValueError("per_region refinement needs region ids")
-    ids = np.asarray(region_ids) if per_region else np.zeros(pasted.shape, int)  # pooled: one group
+    s = scores[pasted]
+    if mode == "none":
+        eta = s.min()
+    elif per_region:
+        region = np.asarray(region_ids)[pasted]
+        eta_of_region = np.zeros(region.max() + 1)
+        eta_of_region[np.bincount(region) > 0] = search_threshold(s, mode, region)
+    else:
+        eta = search_threshold(s, mode)
     ood = np.zeros_like(pasted)
-    for rid in sorted(set(ids[pasted].tolist())):  # np.unique's first call imports numpy.ma (~1 MB)
-        group = pasted & (ids == rid)
-        eta = scores[group].min() if mode == "none" else search_threshold(scores[group], mode)
-        ood |= group & (scores >= eta)
+    ood[pasted] = s >= (eta_of_region[region] if per_region else eta)
     return PixelPartition(
         ood_mask=ood,
         id_mask=~pasted,

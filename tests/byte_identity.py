@@ -1,6 +1,6 @@
 """Seeded run of every CLI subcommand, for byte-identity checks between trees.
 
-Runs gen-data, fit-frozen, eight train variants, eval with and without a
+Runs gen-data, fit-frozen, nine train variants, eval with and without a
 head, score for every scorer plus a heatmap, eval and score with the 3x3
 head, ablate, and sweeps over
 patches, gamma and lambda, all on one small seeded config.  Two more
@@ -43,6 +43,8 @@ TRAIN_VARIANTS = {
     "otsu": ["--set", "train.refine_mode=otsu"],
     "none": ["--set", "train.refine_mode=none"],
     "per_region": ["--set", "train.per_region=true"],
+    # the batched search's count-weighted objective
+    "per_region_otsu": ["--set", "train.per_region=true", "--set", "train.refine_mode=otsu"],
     "per_region_none": ["--set", "train.per_region=true", "--set", "train.refine_mode=none"],
     # the benchmark's paste-heavy shape: later patches cover whole earlier regions
     "paste_heavy": [

@@ -7,6 +7,7 @@ polygon vertices are continuous so no pixel center lands exactly on an edge.
 import numpy as np
 import pytest
 
+import oodseg.patches
 from oodseg.patches import (
     DegenerateHullError,
     DegeneratePolygonError,
@@ -282,6 +283,21 @@ class TestDonorCorners:
         assert patch.vertices == [(0.0, 0.0), (16.0, 0.0), (16.0, 16.0), (0.0, 16.0)]
         assert patch.mask.all()
 
+    def test_fewer_than_three_corners_skip_the_hull(self, monkeypatch):
+        def no_hull(points):
+            raise AssertionError("convex_hull called")
+
+        monkeypatch.setattr(oodseg.patches, "convex_hull", no_hull)
+        # two of the square's corners (35, 20) and (35, 35) fall inside, then none
+        cands = [
+            PatchCandidate(donor=0, x0=30, y0=16, width=16, height=24),
+            PatchCandidate(donor=0, x0=40, y0=40, width=16, height=16),
+        ]
+        for cand, patch in zip(cands, build_patches([self.square_donor()], cands)):
+            w, h = float(cand.width), float(cand.height)
+            assert patch.vertices == [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
+            assert patch.mask.all()
+
 
 class TestPaste:
     def target(self):
@@ -334,6 +350,39 @@ class TestPaste:
         )
         paste_patches(t, [p], np.random.default_rng(1))
         assert t.max() == 0
+
+    def test_rectangles_by_slice_match_the_masked_paste(self):
+        from oodseg.patches import PolygonPatch
+
+        def masked_paste(target, patches, rng):
+            # every patch through boolean masks, rectangles included
+            img, mask = target.copy(), np.zeros(target.shape[:2], dtype=bool)
+            ids = np.zeros(target.shape[:2], dtype=np.int32)
+            for idx, patch in enumerate(patches):
+                ph, pw = patch.mask.shape
+                y0 = int(rng.integers(target.shape[0] - ph + 1))
+                x0 = int(rng.integers(target.shape[1] - pw + 1))
+                sub = (slice(y0, y0 + ph), slice(x0, x0 + pw))
+                img[sub][patch.mask] = patch.texture[patch.mask]
+                mask[sub] |= patch.mask
+                ids[sub][patch.mask] = idx + 1
+            return img, mask, ids
+
+        rng = np.random.default_rng(41)
+        patches = []
+        for i in range(12):
+            h, w = rng.integers(4, 20, size=2)
+            full = i % 2 == 0
+            m = np.ones((h, w), dtype=bool) if full else rng.uniform(size=(h, w)) < 0.6
+            texture = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+            patches.append(PolygonPatch(vertices=[(0.0, 0.0)] * 3, mask=m, texture=texture))
+        target = rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8)
+        scene = paste_patches(target, patches, np.random.default_rng(5))
+        img, mask, ids = masked_paste(target, patches, np.random.default_rng(5))
+        assert scene.image.tobytes() == img.tobytes()
+        assert scene.mask.tobytes() == mask.tobytes()
+        assert scene.region_ids.tobytes() == ids.tobytes()
+        assert scene.region_ids.dtype == ids.dtype
 
     def test_region_ids_match_mask(self):
         rng = np.random.default_rng(19)

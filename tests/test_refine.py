@@ -1,7 +1,9 @@
 """Threshold search and pixel partition tests.
 
 The fast prefix-sum search is checked against a literal loop over the same
-candidate grid with per-group np.var, which is the defining behavior.
+candidate grid with per-group np.var, which is the defining behavior.  The
+batched search over labelled groups is checked, byte for byte, against one
+search per group.
 """
 
 import math
@@ -9,8 +11,13 @@ import math
 import numpy as np
 import pytest
 
+import oodseg.refine
 from oodseg.refine import (
+    NUM_BINS,
+    SEARCH_MODES,
     EmptyPastedRegionError,
+    _grid,
+    _group_means,
     refine_partition,
     search_threshold,
     threshold_objective,
@@ -97,6 +104,87 @@ class TestSearchThreshold:
             search_threshold([1.0, 2.0], mode="grid")
 
 
+def search_per_group(scores, labels, mode):
+    """The batched search's reference: one search per label, in label order."""
+    return np.array([search_threshold(scores[labels == g], mode) for g in sorted(set(labels.tolist()))])
+
+
+def random_groups(rng):
+    """Scores and labels with gaps: continuous, tied, constant and one-pixel
+    groups, signed zeros among them."""
+    scores, labels = [], []
+    for label in np.sort(rng.choice(100, size=int(rng.integers(1, 25)), replace=False)):
+        n = int(rng.integers(1, 4)) if rng.uniform() < 0.2 else int(rng.integers(2, 120))
+        kind = rng.integers(4)
+        if kind == 0:
+            s = rng.standard_normal(n) * rng.uniform(0.01, 20.0) + rng.uniform(-50, 50)
+        elif kind == 1:
+            s = rng.integers(-2, 3, size=n).astype(np.float64)  # heavy ties, zeros included
+        elif kind == 2:
+            s = np.full(n, rng.choice([-0.0, 0.0, 3.5]))
+        else:
+            s = rng.choice([-0.0, 0.0, 1.0, -1.0], size=n)
+        scores.append(s)
+        labels.append(np.full(n, label))
+    order = rng.permutation(sum(len(s) for s in scores))
+    return np.concatenate(scores)[order], np.concatenate(labels)[order]
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("mode", SEARCH_MODES)
+    def test_matches_a_search_per_group(self, mode):
+        rng = np.random.default_rng(47)
+        for _ in range(150):
+            scores, labels = random_groups(rng)
+            assert search_threshold(scores, mode, labels).tobytes() == search_per_group(scores, labels, mode).tobytes()
+
+    @pytest.mark.parametrize("mode", SEARCH_MODES)
+    def test_signed_zeros(self, mode):
+        scores = np.array([-0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 1.0, -0.0, 0.0, -1.0])
+        labels = np.array([1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4])
+        eta = search_threshold(scores, mode, labels)
+        assert eta.tobytes() == search_per_group(scores, labels, mode).tobytes()
+        # constant zero groups come back as +0.0, whichever zeros they hold
+        assert np.signbit(eta[:2]).tolist() == [False, False]
+        assert not np.signbit(search_threshold([-0.0, -0.0], mode))
+
+    @pytest.mark.parametrize("mode", SEARCH_MODES)
+    def test_subnormal_spread_beside_normal_groups(self, mode):
+        # (hi - lo) / 255 underflows to zero in group 5 only
+        scores = np.array([0.0, 5e-322, 2e-322, 0.0, -3.0, 7.0, 1.0, 2.5, 0.25, 0.5, 0.0, 1.0])
+        labels = np.array([5, 5, 5, 5, 6, 6, 6, 6, 9, 9, 9, 9])
+        assert search_threshold(scores, mode, labels).tobytes() == search_per_group(scores, labels, mode).tobytes()
+
+    def test_grid_rows_are_linspace(self):
+        lo = np.array([0.0, 0.0, -3.0, 2.0])
+        hi = np.array([1.0, 5e-322, 7.0, 2.0])
+        rows = np.array([np.linspace(a, b, NUM_BINS) for a, b in zip(lo, hi)])
+        assert _grid(lo, hi).tobytes() == rows.tobytes()
+        # one linspace over the arrays takes the subnormal branch for every row
+        assert np.linspace(lo, hi, NUM_BINS, axis=-1).tobytes() != rows.tobytes()
+
+    def test_group_means_are_numpy_means(self):
+        rng = np.random.default_rng(51)
+        for _ in range(50):
+            sizes = rng.integers(1, 400, size=int(rng.integers(1, 30)))
+            v = rng.standard_normal(sizes.sum()) * 10 ** rng.uniform(-3, 3) + rng.uniform(-1e3, 1e3)
+            ends = np.cumsum(sizes)
+            expect = np.array([v[e - n : e].mean() for e, n in zip(ends, sizes)])
+            got = _group_means(v, sizes, np.repeat(np.arange(sizes.size), sizes))
+            assert got.tobytes() == expect.tobytes()
+
+    def test_one_group_matches_the_plain_search(self):
+        rng = np.random.default_rng(48)
+        for mode in SEARCH_MODES:
+            s = rng.standard_normal(300)
+            (eta,) = search_threshold(s, mode, np.full(300, 7))
+            assert eta == search_threshold(s, mode)
+
+    def test_labels_must_match_scores(self):
+        with pytest.raises(ValueError):
+            search_threshold([1.0, 2.0, 3.0], "eq11", [1, 1])
+
+
 class TestRefinePartition:
     def test_pooled_two_cluster_scene(self):
         scores = np.zeros((4, 4))
@@ -173,6 +261,50 @@ class TestRefinePartition:
                     expect |= refine_partition(scores, ids == rid, mode=mode).ood_mask
                 np.testing.assert_array_equal(part.ood_mask, expect)
                 np.testing.assert_array_equal(part.ignored_mask, pasted & ~expect)
+
+    @pytest.mark.parametrize("mode", ("eq11", "otsu", "none"))
+    def test_per_region_matches_a_search_per_region(self, mode):
+        rng = np.random.default_rng(49)
+        for _ in range(20):
+            ids = np.zeros((24, 24), dtype=np.int32)
+            for rid in range(1, 12):  # later rectangles cover part, or all, of earlier ones
+                y, x = rng.integers(0, 20, size=2)
+                h, w = rng.integers(1, 12, size=2)
+                ids[y : y + h, x : x + w] = rid
+            pasted = ids > 0
+            scores = np.round(rng.standard_normal((24, 24)), int(rng.integers(0, 3)))
+            part = refine_partition(scores, pasted, mode=mode, region_ids=ids, per_region=True)
+            if mode == "none":
+                expect = pasted
+                assert part.eta == scores[pasted].min()
+            else:
+                expect = np.zeros_like(pasted)
+                for rid in sorted(set(ids[pasted].tolist())):  # ids with gaps
+                    region = ids == rid
+                    expect |= region & (scores >= search_threshold(scores[region], mode))
+                assert math.isnan(part.eta)
+            np.testing.assert_array_equal(part.ood_mask, expect)
+            np.testing.assert_array_equal(part.ignored_mask, pasted & ~expect)
+
+    def test_per_region_with_one_region_is_pooled(self):
+        rng = np.random.default_rng(50)
+        scores = rng.standard_normal((8, 8))
+        ids = np.zeros((8, 8), dtype=np.int32)
+        ids[2:7, 1:6] = 3
+        for mode in SEARCH_MODES:
+            part = refine_partition(scores, ids > 0, mode=mode, region_ids=ids, per_region=True)
+            pooled = refine_partition(scores, ids > 0, mode=mode)
+            np.testing.assert_array_equal(part.ood_mask, pooled.ood_mask)
+            np.testing.assert_array_equal(part.ignored_mask, pooled.ignored_mask)
+
+    def test_one_search_per_partition(self, monkeypatch):
+        calls = []
+        search = oodseg.refine.search_threshold
+        monkeypatch.setattr(oodseg.refine, "search_threshold", lambda *a: calls.append(a) or search(*a))
+        ids = np.repeat(np.arange(1, 5), 4).reshape(4, 4)
+        refine_partition(np.arange(16.0).reshape(4, 4), ids > 0, region_ids=ids, per_region=True)
+        refine_partition(np.arange(16.0).reshape(4, 4), ids > 0)
+        assert len(calls) == 2
 
     def test_mode_none_keeps_whole_pasted_region(self):
         scores = np.zeros((4, 4))
