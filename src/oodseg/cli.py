@@ -185,16 +185,14 @@ def _gen_data(config: dict, out: Path) -> None:
     )
 
 
-def _fit_frozen(config: dict, out: Path) -> FrozenModel:
+def _fit_frozen(config: dict) -> FrozenModel:
     fz = config["frozen"]
-    model = fit_frozen_decoder(
+    return fit_frozen_decoder(
         _section(config, "scene"),
         feature_dim=fz["feature_dim"],
         n_scenes=fz["fit_scenes"],
         seed=fz["seed"],
     )
-    save_frozen(model, out)
-    return model
 
 
 def cmd_gen_data(args) -> int:
@@ -208,7 +206,8 @@ def cmd_gen_data(args) -> int:
 def cmd_fit_frozen(args) -> int:
     config = load_config(args.config, args.set)
     out = Path(args.out)
-    model = _fit_frozen(config, out)
+    model = _fit_frozen(config)
+    save_frozen(model, out)
     acc = decoder_accuracy(model, _section(config, "scene"))
     print(f"frozen model {frozen_digest(model)[:12]} decoder accuracy {acc:.4f}")
     _record_run(out, {k: config[k] for k in ("scene", "frozen")})
@@ -295,12 +294,12 @@ def cmd_eval(args) -> int:
 
 
 def _prepare_world(config: dict, out: Path):
-    """Dataset + frozen model built from ``config`` under the run dir."""
-    data_dir = out / "data"
-    frozen_dir = out / "frozen"
-    _gen_data(config, data_dir)
-    _fit_frozen(config, frozen_dir)
-    return load_train_images(data_dir), load_frozen(frozen_dir), load_eval_set(data_dir)
+    """Dataset + frozen model built from ``config`` under the run dir; the fit
+    comes first, so a bad ``frozen`` value stops before anything is written."""
+    model = _fit_frozen(config)
+    _gen_data(config, out / "data")
+    save_frozen(model, out / "frozen")
+    return load_train_images(out / "data"), load_frozen(out / "frozen"), load_eval_set(out / "data")
 
 
 def _train_arm(images, frozen, cfg: TrainConfig, head_cfg: HeadConfig) -> "HeadParams":

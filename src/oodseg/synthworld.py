@@ -58,8 +58,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.height < 16 or self.width < 16:
             raise ValueError(f"scene must be at least 16x16, got {self.height}x{self.width}")
-        if self.classes < 2:
-            raise ValueError(f"need >= 2 classes, got {self.classes}")
+        if not 2 <= self.classes <= 255:  # labels are uint8, and 255 is IGNORE
+            raise ValueError(f"need 2 to 255 classes, got {self.classes}")
 
 
 # in-distribution color families (muted primaries) and shape families;
@@ -296,11 +296,12 @@ def load_frozen(model_dir: str | Path) -> FrozenModel:
     return model
 
 
-_SCENE_FILE = re.compile(r"scene_(\d{4,})(\.ppm|_labels\.pgm|_anomaly\.pgm)")
+_SCENE_FILE = re.compile(r"scene_(\d{4,})(\.ppm|_anomaly\.pgm)")
 
 
 def export_dataset(spec: SceneSpec, n_train: int, n_eval: int, out_dir: str | Path, seed: int = 0) -> None:
-    """Write PPM scenes, PGM labels, and eval anomaly masks plus a manifest.
+    """Write ``manifest.json``, ``train/scene_NNNN.ppm``, ``eval/scene_NNNN.ppm``
+    and ``eval/scene_NNNN_anomaly.pgm``.
 
     Anomaly masks store 0 = normal, 1 = anomalous (255 would mean IGNORE).
     Scene files of an earlier, larger export into the same directory are
@@ -322,14 +323,12 @@ def export_dataset(spec: SceneSpec, n_train: int, n_eval: int, out_dir: str | Pa
                 path.unlink()
     for i in range(n_train):
         rng = np.random.default_rng([seed, 2, i])
-        image, labels, _ = generate_scene(spec, rng)
+        image, _, _ = generate_scene(spec, rng)
         write_ppm(out / "train" / f"scene_{i:04d}.ppm", image)
-        write_pgm(out / "train" / f"scene_{i:04d}_labels.pgm", labels)
     for i in range(n_eval):
         rng = np.random.default_rng([seed, 3, i])
-        image, labels, anomaly = generate_scene(spec, rng, anomalies=True)
+        image, _, anomaly = generate_scene(spec, rng, anomalies=True)
         write_ppm(out / "eval" / f"scene_{i:04d}.ppm", image)
-        write_pgm(out / "eval" / f"scene_{i:04d}_labels.pgm", labels)
         write_pgm(out / "eval" / f"scene_{i:04d}_anomaly.pgm", anomaly.astype(np.uint8))
     manifest = {**asdict(spec), "seed": seed, "n_train": n_train, "n_eval": n_eval}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -38,6 +38,7 @@ from .synthworld import FrozenModel, frozen_digest, frozen_encoder, seg_logits_m
 from .tensorio import IGNORE
 
 
+ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -60,7 +61,6 @@ class TrainConfig:
     gamma: float = 15.0
     n_patches: int = 10
     lam: float = 0.5
-    lr: float = 1e-3
     seed: int = 0
     refine_mode: str = "eq11"   # "eq11" | "otsu" | "none" (keep whole pasted region)
     per_region: bool = False
@@ -75,8 +75,6 @@ class TrainConfig:
             raise ValueError(f"warmup_iters must be >= 0, got {self.warmup_iters}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.lr <= 0.0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.refine_mode not in REFINE_MODES:
@@ -110,7 +108,7 @@ class AdamState:
         self.v = {name: np.zeros_like(arr) for name, arr in params.trainable()}
         self.t = 0
 
-    def step(self, params: HeadParams, grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:
+    def step(self, params: HeadParams, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
@@ -121,7 +119,7 @@ class AdamState:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
-            arr -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            arr -= ADAM_LR * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _prepare_example(
@@ -201,7 +199,7 @@ def _step(
         raise TrainingDivergedError(f"iteration {iteration}: gradient is not finite")
     # past every abort point: only a completed iteration moves BN state
     commit_batch_stats(head, caches)
-    adam.step(head, total_grads, cfg)
+    adam.step(head, total_grads)
     n_ignored = sum(int(p.ignored_mask.sum()) for p in parts)
     return float(l_a), float(l_o), n_ood, n_ignored, float(np.mean([p.eta for p in parts]))
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oodseg.cli
+import oodseg.trainer
 from oodseg.cli import ConfigError, DEFAULT_CONFIG, SECTIONS, _section, load_config, main
 from oodseg.head import load_head
 from oodseg.synthworld import load_eval_set, load_frozen, save_frozen
@@ -63,10 +64,10 @@ class TestLoadConfig:
 
     def test_file_merge(self, tmp_path):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"train": {"iterations": 7, "lr": 1}}))
+        p.write_text(json.dumps({"train": {"iterations": 7, "gamma": 1}}))
         config = load_config(str(p), [])
         assert config["train"]["iterations"] == 7
-        assert config["train"]["lr"] == 1.0 and isinstance(config["train"]["lr"], float)
+        assert config["train"]["gamma"] == 1.0 and isinstance(config["train"]["gamma"], float)
         assert config["train"]["batch_size"] == 8  # untouched default
 
     @pytest.mark.parametrize(
@@ -79,7 +80,7 @@ class TestLoadConfig:
             {"train": {"iterations": True}},
             {"train": {"per_region": 1}},
             {"train": {"refine_mode": 3}},
-            {"train": {"lr": float("nan")}},       # written as NaN
+            {"train": {"gamma": float("nan")}},    # written as NaN
             {"train": {"gamma": float("inf")}},    # written as Infinity
         ],
     )
@@ -106,13 +107,13 @@ class TestLoadConfig:
             None,
             [
                 "train.iterations=9",
-                "train.lr=0.5",
+                "train.gamma=0.5",
                 "train.per_region=true",
                 "train.refine_mode=otsu",
             ],
         )
         assert config["train"]["iterations"] == 9
-        assert config["train"]["lr"] == 0.5
+        assert config["train"]["gamma"] == 0.5
         assert config["train"]["per_region"] is True
         assert config["train"]["refine_mode"] == "otsu"
 
@@ -124,10 +125,9 @@ class TestLoadConfig:
             "train.nosuch=1",
             "nosuch.iterations=1",
             "train.iterations=abc",
-            "train.lr=x",
+            "train.gamma=x",
             "train.per_region=maybe",
-            "train.lr=nan",
-            "train.lr=inf",
+            "train.gamma=inf",
             "train.gamma=nan",
             "train.w_o=-inf",
             "train.iterations=1.5",
@@ -153,7 +153,7 @@ def _assert_is_default(config):
 class TestSchemaRoundTrip:
     def test_every_key_round_trips_through_set(self):
         sets = [f"{section}.{key}={_text(v)}" for section, keys in DEFAULT_CONFIG.items() for key, v in keys.items()]
-        assert len(sets) == 25
+        assert len(sets) == 24
         _assert_is_default(load_config(None, sets))
 
     def test_every_key_round_trips_through_json(self, tmp_path):
@@ -471,7 +471,7 @@ class TestExitCodes:
         ids=["min_side", "degenerate", "diverging"],
     )
     def test_failed_train_leaves_no_out(self, pipeline, tmp_path, capsys, monkeypatch, case, code):
-        data, sets = pipeline / "data", []
+        data = pipeline / "data"
         if case == "min_side":  # a well-formed dataset whose 6x6 scenes no config can crop
             data = tmp_path / "data"
             shutil.copytree(pipeline / "data", data)
@@ -481,20 +481,20 @@ class TestExitCodes:
         elif case == "degenerate":
             full_crops(monkeypatch)
         else:
-            sets = ["--set", "train.lr=1e300"]
+            monkeypatch.setattr(oodseg.trainer, "ADAM_LR", 1e300)
         world = ["--data", str(data), "--frozen", str(pipeline / "frozen")]
-        assert main(["train", *TINY, *sets, *world, "--out", str(tmp_path / "r")]) == code
+        assert main(["train", *TINY, *world, "--out", str(tmp_path / "r")]) == code
         assert not (tmp_path / "r").exists()
         if code == 3:
             assert "smaller than MIN_SIDE=8" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # divergence is reported, not warned about
-    def test_diverging_training_is_4(self, pipeline, tmp_path, capsys):
+    def test_diverging_training_is_4(self, pipeline, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(oodseg.trainer, "ADAM_LR", 1e300)
         rc = main(
             [
                 "train",
                 *TINY,
-                "--set", "train.lr=1e300",
                 "--data", str(pipeline / "data"),
                 "--frozen", str(pipeline / "frozen"),
                 "--out", str(tmp_path / "r"),
@@ -516,13 +516,16 @@ class TestExitCodes:
             ["ablate", "--set", "data.seed=-2"],
             ["sweep", "--param", "patches", "--values", "abc"],
             ["sweep", "--param", "gamma", "--values", "nan"],
-            ["train", "--set", "train.lr=nan", "--data", "d", "--frozen", "f"],
+            ["train", "--set", "train.gamma=nan", "--data", "d", "--frozen", "f"],
             ["eval", "--lam", "nan", "--frozen", "f", "--data", "d"],
             ["score", "--lam", "inf", "--frozen", "f", "--image", "i.ppm"],
             ["score", "--frozen", "f", "--image", "i.ppm"],  # the default scorer needs --head
             ["ablate", "--set", "train.seed=-1"],
             ["sweep", "--set", "head.blocks=0", "--param", "gamma", "--values", "5"],
             ["sweep", "--param", "gamma", "--values", "-5"],
+            ["ablate", "--set", "frozen.fit_scenes=0"],
+            ["sweep", "--set", "frozen.seed=-1", "--param", "gamma", "--values", "5"],
+            ["gen-data", "--set", "scene.classes=300"],
         ],
         ids=[
             "train_scenes",
@@ -542,6 +545,9 @@ class TestExitCodes:
             "ablate_train_seed",
             "sweep_head_blocks",
             "sweep_gamma",
+            "ablate_fit_scenes",
+            "sweep_frozen_seed",
+            "scene_classes",
         ],
     )
     def test_bad_value_is_2(self, pipeline, tmp_path, argv):
@@ -552,9 +558,7 @@ class TestExitCodes:
         tiny = [] if argv[0] in ("eval", "score") else TINY
         argv = [world.get(a, a) for a in argv]
         assert main([argv[0], *tiny, *argv[1:], "--out", str(tmp_path / "o")]) == 2
-        if argv[0] in ("eval", "score"):
-            assert not (tmp_path / "o").exists()
-        assert not (tmp_path / "o" / "data").exists()  # ablate and sweep check before building a world
+        assert not (tmp_path / "o").exists()  # every value is checked before anything is written
 
     @pytest.mark.parametrize(
         "key",
@@ -573,6 +577,7 @@ class TestExitCodes:
             "patch.min_side",
             "patch.crop_max_div",
             "patch.policy",
+            "train.lr",
         ],
     )
     def test_removed_key_is_unknown(self, tmp_path, capsys, key):

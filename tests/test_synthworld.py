@@ -41,6 +41,7 @@ class TestSceneSpec:
             {"height": 8},
             {"width": 15},
             {"classes": 1},
+            {"classes": 256},  # labels are uint8, and 255 is IGNORE
         ],
     )
     def test_rejects(self, kwargs):
@@ -225,10 +226,11 @@ class TestDatasetExport:
         export_dataset(SPEC, n_train=5, n_eval=3, out_dir=out, seed=11)
         (out / "train" / "notes.txt").write_text("kept")
         export_dataset(SPEC, n_train=3, n_eval=2, out_dir=out, seed=11)
-        expect = sorted(f"scene_{i:04d}{suffix}" for i in range(3) for suffix in (".ppm", "_labels.pgm"))
+        expect = [f"scene_{i:04d}.ppm" for i in range(3)]
         assert sorted(p.name for p in (out / "train").glob("scene_*")) == expect
         assert (out / "train" / "notes.txt").read_text() == "kept"
-        assert len(list((out / "eval").glob("scene_*"))) == 2 * 3
+        expect = sorted(f"scene_{i:04d}{suffix}" for i in range(2) for suffix in (".ppm", "_anomaly.pgm"))
+        assert sorted(p.name for p in (out / "eval").glob("scene_*")) == expect
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):

@@ -81,7 +81,7 @@ class TestTrainConfig:
             {"n_patches": 0},
             {"warmup_iters": -1},
             {"gamma": -1.0},
-            {"lr": 0.0},
+            {"w_o": -0.5},
             {"refine_mode": "fixed"},
             {"margin": "soft"},
             {"w_a": -0.5},
@@ -96,15 +96,14 @@ class TestTrainConfig:
 class TestAdam:
     def test_constant_gradient_steps_by_lr(self):
         # with bias correction a constant gradient g gives m-hat = g and
-        # v-hat = g*g at every step, so each update is lr * g / (|g| + eps)
+        # v-hat = g*g at every step, so each update is ADAM_LR * g / (|g| + eps)
         params = head_init(HeadConfig(feature_dim=3, blocks=1, hidden=2), seed=0)
-        cfg = TrainConfig(lr=0.01)
         adam = AdamState(params)
         grads = {name: np.full_like(arr, 2.0) for name, arr in params.trainable()}
         before = {name: arr.copy() for name, arr in params.trainable()}
-        expected_delta = 0.01 * 2.0 / (2.0 + oodseg.trainer.ADAM_EPS)
+        expected_delta = oodseg.trainer.ADAM_LR * 2.0 / (2.0 + oodseg.trainer.ADAM_EPS)
         for step in range(1, 3):
-            adam.step(params, grads, cfg)
+            adam.step(params, grads)
             for name, arr in params.trainable():
                 np.testing.assert_allclose(
                     before[name] - arr, step * expected_delta, atol=1e-12
@@ -200,10 +199,11 @@ class TestTrain:
     @pytest.mark.parametrize(
         "warmup_iters, what", [(3, "loss"), (0, "refinement score")], ids=["warmup_loss", "score"]
     )
-    def test_divergence_names_the_iteration(self, frozen, images, warmup_iters, what):
+    def test_divergence_names_the_iteration(self, frozen, images, monkeypatch, warmup_iters, what):
         # the first step throws the weights past float32 range; the next
         # iteration must stop before refinement or Adam sees the result
-        cfg = tiny_cfg(lr=1e300, warmup_iters=warmup_iters)
+        monkeypatch.setattr(oodseg.trainer, "ADAM_LR", 1e300)
+        cfg = tiny_cfg(warmup_iters=warmup_iters)
         with pytest.raises(TrainingDivergedError, match=f"^iteration 1: {what} is not finite$"):
             train(images, frozen, cfg, head_config=HEAD_CFG)
 
