@@ -129,6 +129,7 @@ class TestLoadConfig:
             "train.per_region=maybe",
             "train.gamma=inf",
             "train.gamma=nan",
+            "train.lam=nan",
             "train.w_o=-inf",
             "train.iterations=1.5",
             "train.iterations=true",
