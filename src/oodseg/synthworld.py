@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -296,16 +295,14 @@ def load_frozen(model_dir: str | Path) -> FrozenModel:
     return model
 
 
-_SCENE_FILE = re.compile(r"scene_(\d{4,})(\.ppm|_anomaly\.pgm)")
-
-
 def export_dataset(spec: SceneSpec, n_train: int, n_eval: int, out_dir: str | Path, seed: int = 0) -> None:
     """Write ``manifest.json``, ``train/scene_NNNN.ppm``, ``eval/scene_NNNN.ppm``
     and ``eval/scene_NNNN_anomaly.pgm``.
 
     Anomaly masks store 0 = normal, 1 = anomalous (255 would mean IGNORE).
-    Scene files of an earlier, larger export into the same directory are
-    deleted, so the directory holds exactly what the manifest lists.
+    Every other ``scene_*`` file in either split is deleted: those of an
+    earlier, larger export and the ``_labels.pgm`` maps earlier versions
+    wrote.  So the directory holds exactly what the manifest lists.
     """
     if n_train < 2:
         raise BadValueError(f"need >= 2 training scenes for donor sampling, got {n_train}")
@@ -316,10 +313,10 @@ def export_dataset(spec: SceneSpec, n_train: int, n_eval: int, out_dir: str | Pa
     out = Path(out_dir)
     (out / "train").mkdir(parents=True, exist_ok=True)
     (out / "eval").mkdir(parents=True, exist_ok=True)
-    for split, n in (("train", n_train), ("eval", n_eval)):
+    for split, n, suffixes in (("train", n_train, (".ppm",)), ("eval", n_eval, (".ppm", "_anomaly.pgm"))):
+        written = {f"scene_{i:04d}{suffix}" for i in range(n) for suffix in suffixes}
         for path in (out / split).glob("scene_*"):
-            m = _SCENE_FILE.fullmatch(path.name)
-            if m and int(m.group(1)) >= n:
+            if path.name not in written and path.is_file():
                 path.unlink()
     for i in range(n_train):
         rng = np.random.default_rng([seed, 2, i])

@@ -180,7 +180,9 @@ def _step(
     ``slots`` holds each batch slot's example from the previous iteration,
     head cache included, and each is replaced as soon as its successor
     exists.  So at most one cache more than the batch is alive, and the
-    allocator hands a released cache's memory to the next slot.  Releasing
+    allocator hands a released cache's memory to the next slot.  A desk
+    cache (64x64 scene, 16 features, 3 blocks of 32) holds 1.8 MB: the
+    float32 features and one [32, 4096] float32 array per block.  Releasing
     every cache at the end of the iteration instead returns their memory
     to the system, and the next iteration faults it back in page by page.
     """

@@ -1,6 +1,6 @@
 """Seeded run of every CLI subcommand, for byte-identity checks between trees.
 
-Runs gen-data, fit-frozen, nine train variants, eval with and without a
+Runs gen-data, fit-frozen, ten train variants, eval with and without a
 head, score for every scorer plus a heatmap, eval and score with the 3x3
 head, ablate, and sweeps over
 patches, gamma and lambda, all on one small seeded config.  Two more
@@ -55,6 +55,8 @@ TRAIN_VARIANTS = {
     "polygons": [],
     # 3x3 kernels take the im2col path (_cols/_uncols) that 1x1 kernels skip
     "kernel3": ["--set", "head.kernel_size=3"],
+    # one block: the backward recomputes only the last block's ReLU output
+    "blocks1": ["--set", "head.blocks=1"],
 }
 
 # step -> oodseg.patches constants set for that step only

@@ -387,6 +387,49 @@ class TestBackward:
             np.testing.assert_allclose(b32.run_mean, b64.run_mean, rtol=1e-4, atol=1e-6)
             np.testing.assert_allclose(b32.run_var, b64.run_var, rtol=1e-4)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_backward_leaves_the_cache_untouched(self, k, dtype):
+        # the backward recomputes ReLU outputs into buffers of its own
+        params = head_init(HeadConfig(feature_dim=5, blocks=3, hidden=6, kernel_size=k), seed=2)
+        x = np.random.default_rng(3).standard_normal((5, 7, 9)).astype(dtype)
+        logits, cache = head_forward(params, x, mode="train")
+        g = np.random.default_rng(4).standard_normal(logits.shape)
+
+        def snapshot():
+            return [
+                None if value is None else np.array(value).tobytes()
+                for bc in cache.blocks
+                for value in vars(bc).values()
+            ]
+
+        before = snapshot()
+        first = head_backward(params, cache, g)
+        second = head_backward(params, cache, g)
+        assert snapshot() == before
+        assert set(first) == set(second)
+        for name, grad in first.items():
+            assert grad.tobytes() == second[name].tobytes(), name
+
+    def test_train_cache_keeps_one_array_per_block(self):
+        # desk head on 64x64 float32 features: the cache holds the features
+        # and one [hidden, H*W] array per block, not the ReLU outputs too
+        cfg = HeadConfig(feature_dim=16)
+        params = head_init(cfg, seed=0)
+        h = w = 64
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            x = np.random.default_rng(0).standard_normal((cfg.feature_dim, h, w)).astype(np.float32)
+            logits, cache = head_forward(params, x, mode="train")
+            del logits, x
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert cache.blocks[0].x_in.shape == (cfg.feature_dim, h, w)
+        bound = (cfg.feature_dim + cfg.blocks * cfg.hidden) * h * w * 4 + 64 * 1024
+        assert retained <= bound, f"train cache retains {retained} bytes, bound {bound}"
+
     def test_grads_cover_all_trainables(self):
         params = head_init(HeadConfig(feature_dim=4), seed=0)
         x = np.random.default_rng(1).standard_normal((4, 3, 3))

@@ -232,6 +232,19 @@ class TestDatasetExport:
         expect = sorted(f"scene_{i:04d}{suffix}" for i in range(2) for suffix in (".ppm", "_anomaly.pgm"))
         assert sorted(p.name for p in (out / "eval").glob("scene_*")) == expect
 
+    def test_export_deletes_files_of_earlier_versions(self, tmp_path):
+        # earlier versions wrote a _labels.pgm map per scene in both splits
+        out = tmp_path / "data"
+        for split in ("train", "eval"):
+            (out / split).mkdir(parents=True)
+            for i in range(4):
+                (out / split / f"scene_{i:04d}_labels.pgm").write_bytes(b"stale")
+            (out / split / "scene_0003.ppm").write_bytes(b"stale")
+        (out / "eval" / "scene_0003_anomaly.pgm").write_bytes(b"stale")
+        export_dataset(SPEC, n_train=2, n_eval=1, out_dir=out, seed=11)
+        assert sorted(p.name for p in (out / "train").iterdir()) == ["scene_0000.ppm", "scene_0001.ppm"]
+        assert sorted(p.name for p in (out / "eval").iterdir()) == ["scene_0000.ppm", "scene_0000_anomaly.pgm"]
+
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             export_dataset(SPEC, n_train=1, n_eval=1, out_dir=tmp_path / "d1")
