@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import HEAD_SCORERS, SCORERS, score_map, save_score_map
-from .head import HeadConfig, load_head, read_head_manifest, save_head
+from .head import HeadConfig, load_head, save_head
 from .metrics import MetricInputError
 from .patches import DonorTooSmallError
 from .synthworld import (
@@ -226,32 +226,10 @@ def cmd_train(args) -> int:
     head_cfg = _section(config, "head", feature_dim=frozen.feature_dim)
     head, log = train(images, frozen, cfg, head_cfg)
     config_sha = _record_run(out, {k: config[k] for k in ("head", "train")}, frozen)
-    manifest = {"frozen_digest": frozen_digest(frozen), "lam": repr(cfg.lam), "train_config": config_sha}
-    save_head(head, out / "head", extra=manifest)
+    save_head(head, out / "head", frozen_digest(frozen), cfg.lam, config_sha)
     write_trainlog_csv(log, out / "trainlog.csv")
     print(f"trained {cfg.iterations} iterations, {log.aborted} aborted; head -> {out / 'head'}")
     return 0
-
-
-def _load_matched_head(head_dir: str | None, frozen, lam: float | None):
-    """(head, λ): the head under ``head_dir``, or None without one, and the
-    λ to score with: ``lam`` if given, else the λ the head was trained with.
-    A head written before λ was recorded, or no head, scores at 0.5."""
-    if head_dir is None:
-        return None, 0.5 if lam is None else lam
-    meta = read_head_manifest(head_dir)
-    head = load_head(head_dir, meta)
-    recorded, digest = meta.get("frozen_digest"), frozen_digest(frozen)
-    if recorded is None:
-        raise ArtifactError(f"head checkpoint under {head_dir} records no frozen_digest")
-    if recorded != digest:
-        raise ArtifactError(f"head checkpoint was trained against frozen model {recorded[:12]}, got {digest[:12]}")
-    head_lam = math.nan
-    with contextlib.suppress(ValueError):
-        head_lam = float(meta.get("lam", "0.5"))
-    if not math.isfinite(head_lam):
-        raise ArtifactError(f"head under {head_dir} records lam={meta['lam']}, not a finite number")
-    return head, head_lam if lam is None else lam
 
 
 def cmd_score(args) -> int:
@@ -260,7 +238,8 @@ def cmd_score(args) -> int:
     if args.head is None and args.scorer in HEAD_SCORERS:
         raise ConfigError(f"--scorer {args.scorer} needs --head; without one, use a baseline scorer")
     frozen = load_frozen(args.frozen)
-    head, lam = _load_matched_head(args.head, frozen, args.lam)
+    head, lam = (None, 0.5) if args.head is None else load_head(args.head, frozen_digest(frozen))
+    lam = lam if args.lam is None else args.lam
     image = read_ppm(args.image)
     from .synthworld import frozen_encoder, seg_logits_map
 
@@ -282,7 +261,8 @@ def cmd_eval(args) -> int:
     if args.lam is not None:
         _coerce("--lam", 0.5, args.lam)  # finite, before any file is touched
     frozen = load_frozen(args.frozen)
-    head, lam = _load_matched_head(args.head, frozen, args.lam)
+    head, lam = (None, 0.5) if args.head is None else load_head(args.head, frozen_digest(frozen))
+    lam = lam if args.lam is None else args.lam
     eval_set = load_eval_set(args.data)
     results = evaluate(head, frozen, eval_set, lam=lam)
     out = Path(args.out)

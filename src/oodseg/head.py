@@ -39,6 +39,12 @@ pixels, as every width divisible by 8 gives (64x64, the only size a
 shipped config or the golden record uses; 32x32, 16x16, 48x80; kernels 1
 and 3).  Elsewhere (37x53, 70x70) they differ by at most 5e-16 of the
 largest logit: OpenBLAS's dgemm rounds ragged edge columns on their own path.
+
+A checkpoint is one TNSR file per array plus ``head.txt``: the config
+fields, then the digest of the frozen model the head was trained on, its
+training λ and the SHA-256 of its training config.  This module alone
+writes and reads those lines; ``load_head`` reads the file once and
+rejects a head that does not match the given frozen digest.
 """
 
 from __future__ import annotations
@@ -347,8 +353,7 @@ def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# checkpointing: one TNSR file per array plus a plain-text manifest holding
-# the HeadConfig fields as repr
+# checkpointing (module docstring): one TNSR file per array plus head.txt
 
 _MANIFEST = "head.txt"
 # lines of heads written with a conv bias; such a head loads only with these
@@ -360,35 +365,30 @@ def _tensor_file(name: str) -> str:
     return name.replace(".", "_") + ".tnsr"  # block0.run_mean -> block0_run_mean.tnsr
 
 
-def save_head(params: HeadParams, out_dir: str | Path, extra: dict[str, str] | None = None) -> None:
+def save_head(params: HeadParams, out_dir: str | Path, frozen_digest: str, lam: float, train_config: str) -> None:
+    """Write the head trained on the frozen model of digest ``frozen_digest``
+    with ``lam``, under a training config whose SHA-256 is ``train_config``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for f in fields(HeadConfig):
-        lines.append(f"{f.name}={getattr(params.config, f.name)!r}")
-    for key, val in (extra or {}).items():
-        lines.append(f"{key}={val}")
+    lines = [f"{f.name}={getattr(params.config, f.name)!r}" for f in fields(HeadConfig)]
+    lines += [f"frozen_digest={frozen_digest}", f"lam={lam!r}", f"train_config={train_config}"]
     (out / _MANIFEST).write_text("\n".join(lines) + "\n")
     for name, arr in params.arrays():
         write_tensor(out / _tensor_file(name), arr)
 
 
-def read_head_manifest(ckpt_dir: str | Path) -> dict[str, str]:
+def load_head(ckpt_dir: str | Path, frozen_digest: str) -> tuple[HeadParams, float]:
+    """(head, λ) from a checkpoint written by ``save_head`` for the frozen
+    model of digest ``frozen_digest``; anything else is ``ArtifactError``.
+    ``head.txt`` is read once; each tensor is read and checked (shape its
+    config implies, finite) before any parameter is built.  A head written
+    before λ was recorded has λ 0.5."""
+    ckpt = Path(ckpt_dir)
     meta = {}
-    for line in (Path(ckpt_dir) / _MANIFEST).read_text().splitlines():
+    for line in (ckpt / _MANIFEST).read_text().splitlines():
         if line.strip():
             key, _, val = line.partition("=")
             meta[key] = val
-    return meta
-
-
-def load_head(ckpt_dir: str | Path, meta: dict[str, str] | None = None) -> HeadParams:
-    """Checkpoint written by ``save_head``; every tensor must be finite and
-    have the shape its manifest's config implies, else ``ArtifactError``.
-    Each tensor is read and checked before any parameter is built.  ``meta``
-    is the checkpoint's manifest if the caller has already read it."""
-    ckpt = Path(ckpt_dir)
-    meta = read_head_manifest(ckpt) if meta is None else meta
     for key, val in _LEGACY_LINES.items():
         if meta.get(key, val) != val:
             raise ArtifactError(f"head under {ckpt} has {key}={meta[key]}; only {key}={val} is supported")
@@ -403,4 +403,16 @@ def load_head(ckpt_dir: str | Path, meta: dict[str, str] | None = None) -> HeadP
             raise ArtifactError(f"{name} has shape {arrays[name].shape} in {ckpt}, config implies {shape}")
         if not np.isfinite(arrays[name]).all():
             raise ArtifactError(f"{name} in {ckpt} holds a value that is not finite")
-    return _assemble(cfg, arrays)
+    recorded = meta.get("frozen_digest")
+    if recorded is None:
+        raise ArtifactError(f"head checkpoint under {ckpt_dir} records no frozen_digest")
+    if recorded != frozen_digest:
+        raise ArtifactError(
+            f"head checkpoint was trained against frozen model {recorded[:12]}, got {frozen_digest[:12]}")
+    try:
+        lam = float(meta.get("lam", "0.5"))
+    except ValueError:
+        lam = np.nan
+    if not np.isfinite(lam):
+        raise ArtifactError(f"head under {ckpt_dir} records lam={meta['lam']}, not a finite number")
+    return _assemble(cfg, arrays), lam

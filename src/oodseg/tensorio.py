@@ -7,6 +7,9 @@ Two on-disk representations are used throughout:
 * Binary netpbm (PPM ``P6`` for RGB, PGM ``P5`` for single-channel label
   and mask images), always with maxval 255.
 
+A file of either kind ends where its payload does: bytes past it are an
+error, as a short payload is.
+
 Label value 255 is reserved: pixels carrying it are excluded from losses
 and metrics.
 """
@@ -163,6 +166,8 @@ def _parse_netpbm(blob: bytes, magic: bytes, channels: int) -> np.ndarray:
     need = w * h * channels
     if len(blob) - off < need:
         raise ShortPayloadError(f"payload needs {need} bytes, have {len(blob) - off}")
+    if len(blob) - off > need:
+        raise NetpbmError(f"{len(blob) - off - need} bytes past the {need}-byte payload")
     flat = np.frombuffer(blob, dtype=np.uint8, count=need, offset=off)
     shape = (h, w, channels) if channels > 1 else (h, w)
     return flat.reshape(shape).copy()

@@ -1,9 +1,11 @@
 """Seeded run of every CLI subcommand, for byte-identity checks between trees.
 
-Runs gen-data, fit-frozen, ten train variants, eval with and without a
+Runs gen-data, fit-frozen, eleven train variants, eval with and without a
 head, score for every scorer plus a heatmap, eval and score with the 3x3
-head, ablate, and sweeps over
-patches, gamma and lambda, all on one small seeded config.  Two more
+head and with a legacy head, ablate, and sweeps over patches, gamma and
+lambda, all on one small seeded config.  The legacy head is the ``lam``
+variant's head as older versions wrote it: without a ``lam=`` line, so it
+scores at 0.5, and with the lines of a head that had a conv bias.  Two more
 gen-data steps write a larger dataset into ``regen`` and then a smaller one
 over it, so the removal of an earlier export's extra scene files and the
 diamond anomaly shape (first drawn by eval scene 4) reach the bytes.
@@ -26,6 +28,7 @@ import argparse
 import contextlib
 import io
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -57,10 +60,23 @@ TRAIN_VARIANTS = {
     "kernel3": ["--set", "head.kernel_size=3"],
     # one block: the backward recomputes only the last block's ReLU output
     "blocks1": ["--set", "head.blocks=1"],
+    # its head.txt records lam=0.25, which eval and score then default to
+    "lam": ["--set", "train.lam=0.25"],
 }
 
 # step -> oodseg.patches constants set for that step only
 STEP_CONSTANTS = {"train-polygons": {"HARRIS_THRESH_FRAC": 1e-4, "HARRIS_NMS_RADIUS": 1}}
+
+
+def legacy_head() -> None:
+    """``legacy_head/``, read by the legacy-head steps: ``train_lam/head`` as
+    written before lam was recorded, with the lines of a head written with a
+    conv bias."""
+    shutil.copytree("train_lam/head", "legacy_head")
+    manifest = Path("legacy_head/head.txt")
+    lines = [line for line in manifest.read_text().splitlines() if not line.startswith("lam=")]
+    manifest.write_text("\n".join(lines + ["use_batchnorm=1", "bn_epsilon=1e-05", "bn_momentum=0.9"]) + "\n")
+
 
 SWEEPS = {"patches": ["3", "5"], "gamma": ["5", "15"], "lambda": ["0.25", "1"]}
 
@@ -80,6 +96,7 @@ def steps() -> list[tuple[str, list[str]]]:
     for name, sets in TRAIN_VARIANTS.items():
         out.append((f"train-{name}", ["train", *SMALL, *sets, *world, "--out", f"train_{name}"]))
     head3 = ["--head", "train_kernel3/head", "--frozen", "frozen"]
+    legacy = ["--head", "legacy_head", "--frozen", "frozen"]
     out += [
         ("eval-head", ["eval", *head, "--data", "data", "--out", "eval_head"]),
         ("eval-headless", ["eval", "--frozen", "frozen", "--data", "data", "--out", "eval_headless"]),
@@ -87,6 +104,9 @@ def steps() -> list[tuple[str, list[str]]]:
         ("eval-kernel3", ["eval", *head3, "--data", "data", "--out", "eval_kernel3"]),
         ("score-kernel3", ["score", *head3, "--image", "data/eval/scene_0000.ppm", "--out", "score/kernel3.tnsr",
                            "--heatmap", "score/kernel3.pgm"]),
+        ("eval-legacy-head", ["eval", *legacy, "--data", "data", "--out", "eval_legacy_head"]),
+        ("score-legacy-head", ["score", *legacy, "--image", "data/eval/scene_0000.ppm",
+                               "--out", "score/legacy.tnsr"]),
     ]
     for scorer in ("combined", "tae", "tore", "jem", "msp", "entropy", "max_logit"):
         out.append((f"score-{scorer}", [*score, "--scorer", scorer, "--out", f"score/{scorer}.tnsr"]))
@@ -125,6 +145,8 @@ def main() -> int:
     log = []
     for name, argv in steps():
         stdout, stderr = io.StringIO(), io.StringIO()
+        if name == "eval-legacy-head":
+            legacy_head()
         constants = STEP_CONSTANTS.get(name, {})
         saved = {key: getattr(oodseg.patches, key) for key in constants}
         vars(oodseg.patches).update(constants)

@@ -12,7 +12,7 @@ import oodseg.cli
 import oodseg.trainer
 from oodseg.cli import ConfigError, DEFAULT_CONFIG, SECTIONS, _section, load_config, main
 from oodseg.head import load_head
-from oodseg.synthworld import load_eval_set, load_frozen, save_frozen
+from oodseg.synthworld import frozen_digest, load_eval_set, load_frozen, save_frozen
 from oodseg.tensorio import read_pgm, read_ppm, read_tensor, write_pgm, write_ppm, write_tensor
 from oodseg.trainer import evaluate, write_eval_csv
 from test_trainer import full_crops
@@ -297,7 +297,9 @@ class TestPipeline:
         ]
         head = ["--head", str(run / "head"), "--frozen", str(pipeline / "frozen")]
         assert main(["eval", *head, "--data", str(pipeline / "data"), "--out", str(tmp_path / "e")]) == 0
-        trained, frozen = load_head(run / "head"), load_frozen(pipeline / "frozen")
+        frozen = load_frozen(pipeline / "frozen")
+        trained, lam = load_head(run / "head", frozen_digest(frozen))
+        assert lam == 0.25
         eval_set = load_eval_set(pipeline / "data")
         results = evaluate(trained, frozen, eval_set, lam=0.25)
         assert results != evaluate(trained, frozen, eval_set, lam=0.5)  # the fixture tells the two apart
@@ -358,6 +360,31 @@ def _wider_train_image(data):
 
 def _append_bytes(path, data):
     path.write_bytes(path.read_bytes() + data)
+
+
+# every file that train, eval or score reads, with the commands that read it
+SWEEP_READERS = {
+    "data/manifest.json": ("train", "eval"),
+    "data/train/scene_0000.ppm": ("train",),
+    "data/eval/scene_0000.ppm": ("eval", "score"),
+    "data/eval/scene_0000_anomaly.pgm": ("eval",),
+    **{f"frozen/{name}": ("train", "eval", "score")
+       for name in ("projection.tnsr", "dec_w.tnsr", "dec_b.tnsr", "digest.txt")},
+    **{f"head/{name}": ("eval", "score")
+       for name in ("head.txt", "block0_w.tnsr", "block0_run_var.tnsr", "out_b.tnsr")},
+}
+SWEEP_MUTATIONS = {
+    "empty": lambda b: b"",
+    "half": lambda b: b[: len(b) // 2],
+    "cut_one": lambda b: b[:-1],
+    "four_zeros": lambda b: b + b"\x00" * 4,
+}
+SWEEP_CASES = [
+    pytest.param(path, mutation, command, id=f"{path}-{mutation}-{command}")
+    for path, commands in SWEEP_READERS.items()
+    for mutation in (("empty", "half") if path.endswith((".txt", ".json")) else SWEEP_MUTATIONS)
+    for command in commands
+]
 
 
 class TestExitCodes:
@@ -708,6 +735,30 @@ class TestExitCodes:
         assert main([*argv, "--out", str(tmp_path / "o" / "jem.tnsr")]) == 3
         assert "past the" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path, mutation, command", SWEEP_CASES)
+    def test_corruption_sweep_is_3(self, pipeline, tmp_path, capsys, path, mutation, command):
+        """A text file emptied or halved, or a binary one also cut by a byte or
+        given 4 zero bytes, exits 3 from every command that reads it and writes
+        nothing.  Payload bit flips are left out: no head tensor or dataset
+        scene carries a digest yet that could catch them.  NaN head tensors
+        are ``test_non_finite_head_is_3``'s."""
+        for name, src in (("data", "data"), ("frozen", "frozen"), ("head", "run/head")):
+            shutil.copytree(pipeline / src, tmp_path / name)
+        target = tmp_path / path
+        target.write_bytes(SWEEP_MUTATIONS[mutation](target.read_bytes()))
+        out = tmp_path / "o"  # --out, and score's --heatmap
+        data, world = str(tmp_path / "data"), ["--frozen", str(tmp_path / "frozen")]
+        head = ["--head", str(tmp_path / "head"), *world]
+        argv = {
+            "train": ["train", *TINY, "--data", data, *world, "--out", str(out)],
+            "eval": ["eval", *head, "--data", data, "--out", str(out)],
+            "score": ["score", *head, "--image", str(tmp_path / "data" / "eval" / "scene_0000.ppm"),
+                      "--out", str(out / "map.tnsr"), "--heatmap", str(out / "map.pgm")],
+        }
+        assert main(argv[command]) == 3
+        assert "artifact error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

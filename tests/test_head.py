@@ -25,7 +25,6 @@ from oodseg.head import (
     head_forward,
     head_init,
     load_head,
-    read_head_manifest,
     save_head,
 )
 from oodseg.tensorio import ArtifactError, read_tensor, write_tensor
@@ -441,6 +440,14 @@ class TestBackward:
             assert grads[name].shape == arr.shape
 
 
+DIGEST = "d" * 64  # the frozen model a test head is saved for
+CONFIG_SHA = "c" * 64
+
+
+def save(params, path, lam=0.5):
+    save_head(params, path, DIGEST, lam, CONFIG_SHA)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         cfg = HeadConfig(feature_dim=5, blocks=2, hidden=4, kernel_size=3)
@@ -448,46 +455,73 @@ class TestPersistence:
         rng = np.random.default_rng(10)
         _, cache = head_forward(params, rng.standard_normal((5, 6, 6)), mode="train")
         commit_batch_stats(params, [cache])  # move stats
-        save_head(params, tmp_path / "ckpt", extra={"note": "hello"})
-        back = load_head(tmp_path / "ckpt")
+        save(params, tmp_path / "ckpt", lam=0.25)
+        back, lam = load_head(tmp_path / "ckpt", DIGEST)
         assert back.config == cfg
+        assert lam == 0.25
         for (na, pa), (nb, pb) in zip(params.trainable(), back.trainable()):
             assert na == nb
             np.testing.assert_array_equal(pa, pb)
         for ba, bb in zip(params.blocks, back.blocks):
             np.testing.assert_array_equal(ba.run_mean, bb.run_mean)
             np.testing.assert_array_equal(ba.run_var, bb.run_var)
-        manifest = read_head_manifest(tmp_path / "ckpt")
-        assert manifest["note"] == "hello"
         assert (tmp_path / "ckpt" / "head.txt").read_text() == (
-            "feature_dim=5\nblocks=2\nhidden=4\nkernel_size=3\nnote=hello\n"
+            f"feature_dim=5\nblocks=2\nhidden=4\nkernel_size=3\nfrozen_digest={DIGEST}\nlam=0.25\n"
+            f"train_config={CONFIG_SHA}\n"
         )
 
     def test_conv_bias_format_loads(self, tmp_path):
         # heads written with a conv bias carry two more manifest lines and a
-        # zero block*_b tensor per block; they load as the same model
+        # zero block*_b tensor per block; they load as the same model.  Their
+        # bn_momentum line, unknown here, is ignored, and a head written
+        # before lam was recorded has lam 0.5
         params = head_init(HeadConfig(feature_dim=4, blocks=2, hidden=3), seed=4)
-        save_head(params, tmp_path / "new")
+        save(params, tmp_path / "new", lam=0.25)
         old = tmp_path / "old"
-        save_head(params, old)
-        (old / "head.txt").write_text((old / "head.txt").read_text() + "use_batchnorm=1\nbn_epsilon=1e-05\n")
+        save(params, old, lam=0.25)
+        text = (old / "head.txt").read_text().replace("lam=0.25\n", "")
+        (old / "head.txt").write_text(text + "use_batchnorm=1\nbn_epsilon=1e-05\nbn_momentum=0.9\n")
         for i in range(2):
             write_tensor(old / f"block{i}_b.tnsr", np.zeros(3))
-        a, b = load_head(tmp_path / "new"), load_head(old)
+        (a, lam_a), (b, lam_b) = load_head(tmp_path / "new", DIGEST), load_head(old, DIGEST)
+        assert (lam_a, lam_b) == (0.25, 0.5)
         assert a.config == b.config
         assert [n for n, _ in a.arrays()] == [n for n, _ in b.arrays()]
         for (name, x), (_, y) in zip(a.arrays(), b.arrays()):
             np.testing.assert_array_equal(x, y, err_msg=name)
 
+    def test_checks_run_in_order(self, tmp_path):
+        # a head failing every check names the first; mending it uncovers the next
+        ckpt = tmp_path / "ckpt"
+        save(head_init(HeadConfig(feature_dim=4), seed=0), ckpt)
+        good, out_b, nan_b = (ckpt / "head.txt").read_text(), read_tensor(ckpt / "out_b.tnsr"), np.full(2, np.nan)
+        bad_lam = good.replace("lam=0.5", "lam=nan")
+        no_digest = bad_lam.replace(f"frozen_digest={DIGEST}\n", "")
+        steps = [
+            (no_digest.replace("hidden=32\n", "") + "use_batchnorm=0\n", nan_b, "has use_batchnorm=0"),
+            (no_digest.replace("hidden=32\n", ""), nan_b, "malformed head manifest"),
+            (no_digest, nan_b, "out.b in .* not finite"),
+            (no_digest, out_b, "records no frozen_digest"),
+            (bad_lam.replace(DIGEST, "e" * 64), out_b, "frozen model eeeeeeeeeeee, got dddddddddddd"),
+            (bad_lam, out_b, "records lam=nan, not a finite number"),
+        ]
+        for text, b, match in steps:
+            (ckpt / "head.txt").write_text(text)
+            write_tensor(ckpt / "out_b.tnsr", b)
+            with pytest.raises(ArtifactError, match=match):
+                load_head(ckpt, DIGEST)
+        (ckpt / "head.txt").write_text(good)
+        assert load_head(ckpt, DIGEST)[1] == 0.5
+
     def test_huge_hidden_fails_before_allocating(self, tmp_path):
         # the manifest claims a 200000-channel block; its tensors hold 8 channels
-        save_head(head_init(HeadConfig(feature_dim=4, blocks=1, hidden=8), seed=0), tmp_path / "ckpt")
+        save(head_init(HeadConfig(feature_dim=4, blocks=1, hidden=8), seed=0), tmp_path / "ckpt")
         manifest = tmp_path / "ckpt" / "head.txt"
         manifest.write_text(manifest.read_text().replace("hidden=8\n", "hidden=200000\n"))
         tracemalloc.start()
         try:
             with pytest.raises(ArtifactError):
-                load_head(tmp_path / "ckpt")
+                load_head(tmp_path / "ckpt", DIGEST)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -495,10 +529,10 @@ class TestPersistence:
 
     def test_load_detects_missing_file(self, tmp_path):
         params = head_init(HeadConfig(feature_dim=4), seed=0)
-        save_head(params, tmp_path / "ckpt")
+        save(params, tmp_path / "ckpt")
         (tmp_path / "ckpt" / "block1_w.tnsr").unlink()
         with pytest.raises(Exception):
-            load_head(tmp_path / "ckpt")
+            load_head(tmp_path / "ckpt", DIGEST)
 
     @pytest.mark.parametrize(
         "edit",
@@ -514,27 +548,27 @@ class TestPersistence:
         ids=["missing_key", "bad_bool", "invalid_value", "no_batchnorm", "bn_epsilon"],
     )
     def test_malformed_manifest_is_artifact_error(self, tmp_path, edit):
-        save_head(head_init(HeadConfig(feature_dim=4), seed=0), tmp_path / "ckpt")
+        save(head_init(HeadConfig(feature_dim=4), seed=0), tmp_path / "ckpt")
         manifest = tmp_path / "ckpt" / "head.txt"
         manifest.write_text(edit(manifest.read_text()))
         with pytest.raises(ArtifactError):
-            load_head(tmp_path / "ckpt")
+            load_head(tmp_path / "ckpt", DIGEST)
 
     def test_tensor_shape_mismatch_is_artifact_error(self, tmp_path):
         # same element count as the [2, 32] original, so only a shape check sees it
-        save_head(head_init(HeadConfig(feature_dim=4), seed=0), tmp_path / "ckpt")
+        save(head_init(HeadConfig(feature_dim=4), seed=0), tmp_path / "ckpt")
         path = tmp_path / "ckpt" / "out_w.tnsr"
         write_tensor(path, read_tensor(path).reshape(32, 2))
         with pytest.raises(ArtifactError):
-            load_head(tmp_path / "ckpt")
+            load_head(tmp_path / "ckpt", DIGEST)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("leaf", ["block0_w", "block1_run_var", "out_b"])
     def test_non_finite_tensor_is_artifact_error(self, tmp_path, leaf, value):
-        save_head(head_init(HeadConfig(feature_dim=4), seed=0), tmp_path / "ckpt")
+        save(head_init(HeadConfig(feature_dim=4), seed=0), tmp_path / "ckpt")
         path = tmp_path / "ckpt" / f"{leaf}.tnsr"
         arr = read_tensor(path)
         arr.reshape(-1)[-1] = value
         write_tensor(path, arr)
         with pytest.raises(ArtifactError, match="not finite"):
-            load_head(tmp_path / "ckpt")
+            load_head(tmp_path / "ckpt", DIGEST)

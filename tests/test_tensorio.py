@@ -10,6 +10,7 @@ from oodseg.tensorio import (
     BadMagicError,
     DimOverflowError,
     MalformedHeaderError,
+    NetpbmError,
     ShortPayloadError,
     TensorFormatError,
     TruncatedPayloadError,
@@ -176,6 +177,17 @@ class TestNetpbm:
         (tmp_path / "p.pgm").write_bytes(b"P5\n3 3\n255\n" + b"\x00" * 8)
         with pytest.raises(ShortPayloadError):
             read_pgm(tmp_path / "p.pgm")
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 4], ids=["1_byte", "4_bytes"])
+    @pytest.mark.parametrize(
+        "write, read, shape", [(write_ppm, read_ppm, (2, 3, 3)), (write_pgm, read_pgm, (2, 3))], ids=["P6", "P5"]
+    )
+    def test_bytes_past_the_payload(self, tmp_path, write, read, shape, extra):
+        path = tmp_path / "x.pnm"
+        write(path, np.zeros(shape, dtype=np.uint8))
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(NetpbmError, match=f"{len(extra)} bytes past the {np.prod(shape)}-byte payload"):
+            read(path)
 
     def test_nonnumeric_header(self, tmp_path):
         (tmp_path / "n.pgm").write_bytes(b"P5\nab 2\n255\n" + b"\x00" * 4)
