@@ -21,14 +21,29 @@ train-mode forward returns its batch statistics in the cache, and
 a caller can drop a forward (an aborted training iteration) without
 moving any state.
 
-A train-mode cache holds one activation-dtype array per block, the
-centred conv output ``z`` [C, H*W], with its per-channel statistics;
-block 0 also holds the input features.  The post-ReLU outputs are not
-kept: ``head_backward`` recomputes each one once from ``z`` (``_relu``),
-by the forward's own elementwise ops in the same dtype, so it equals the
-forward's array byte for byte and every gradient keeps its bytes.  For
-the desk head on 64x64 float32 features that is 1.8 MB per cache, where
-keeping the ReLU outputs too took 3.4 MB.
+A train-mode cache holds the input features and, for every block after
+the first, its centred conv output ``z`` [C, H*W] in the activation
+dtype, with each block's per-channel statistics.  Nothing else is kept:
+``head_backward`` recomputes block 0's ``z`` once per call from the
+features (``_centred_conv``, one matmul) and each post-ReLU output from
+its ``z`` (``_relu``), by the forward's own ops in the same dtype, so
+every recomputed array equals the forward's byte for byte and every
+gradient keeps its bytes.  The features are held by reference; the
+weights must not change between a forward and its backward.  For the
+desk head on 64x64 float32 features a cache holds 1.3 MB; keeping block
+0's ``z`` too took 1.8 MB, and the ReLU outputs as well 3.4 MB.
+
+Convolutions with kernels above 1x1 take their scratch memory from a
+``Workspace``: the zero-padded input and the [C*k*k, H*W] columns in
+both passes, and in the backward the column gradient ``w.T @ dz`` and
+the col2im accumulator.  The columns and their gradient share one
+buffer, the padded input and the accumulator another: each pair's first
+array is spent before its second is written.  A training run owns one
+workspace (``trainer.train`` makes it and hands it to every train-mode
+forward); each cache keeps a reference, so the backward reuses the same
+memory across slots and iterations.  A forward given none makes its own,
+and an eval-mode call shares one across its bands.  1x1 convolutions
+read their input in place and take nothing from a workspace.
 
 Eval mode folds batchnorm into the weights once per call, then walks the
 map in row bands of about ``TILE_PIXELS`` pixels, each with a halo of
@@ -150,8 +165,27 @@ def head_init(cfg: HeadConfig, seed: int) -> HeadParams:
     return _assemble(cfg, arrays)
 
 
-def _cols(x: np.ndarray, k: int) -> np.ndarray:
-    """[C, H, W] -> [C*k*k, H*W] zero-padded 'same' patches; a view for k = 1.
+class Workspace:
+    """Reusable scratch memory for the k > 1 convolutions (module docstring):
+    one grow-only byte buffer per role, handed out as an uninitialised array
+    of the asked shape and dtype.  Each ``take`` of a role overwrites what
+    the last one of that role handed out."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = dtype.itemsize * int(np.prod(shape))
+        flat = self._flat.get(role)
+        if flat is None or flat.size < nbytes:
+            flat = self._flat[role] = np.empty(nbytes, np.uint8)
+        return flat[:nbytes].view(dtype).reshape(shape)
+
+
+def _cols(x: np.ndarray, k: int, ws: Workspace) -> np.ndarray:
+    """[C, H, W] -> [C*k*k, H*W] zero-padded 'same' patches; a view of ``x``
+    for k = 1, else the workspace's "cols" buffer (padded via its "pad").
 
     Row order (channel, tap row, tap column) matches ``w.reshape(out, -1)``,
     so every convolution is one matmul against these columns.
@@ -160,23 +194,30 @@ def _cols(x: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         return x.reshape(c, h * w)
     r = k // 2
-    xp = np.pad(x, ((0, 0), (r, r), (r, r)))
+    xp = ws.take("pad", (c, h + 2 * r, w + 2 * r), x.dtype)
+    xp.fill(0)
+    xp[:, r : r + h, r : r + w] = x
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))  # [C, H, W, k, k]
-    return win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, h * w)
+    cols = ws.take("cols", (c * k * k, h * w), x.dtype)
+    cols.reshape(c, k, k, h, w)[...] = win.transpose(0, 3, 4, 1, 2)
+    return cols
 
 
-def _uncols(dcols: np.ndarray, k: int, shape: tuple[int, int, int]) -> np.ndarray:
-    """Adjoint of ``_cols``: scatter-add column gradients back to [C, H, W]."""
-    c, h, w = shape
+def _input_grad(w2t: np.ndarray, dz: np.ndarray, k: int, shape: tuple[int, int, int], ws: Workspace):
+    """Gradient [C, H*W] of a conv's input, a fresh array: ``w2t @ dz``
+    scattered back through the adjoint of ``_cols`` for k > 1."""
     if k == 1:
-        return dcols.reshape(shape)
+        return w2t @ dz
+    c, h, w = shape
     r = k // 2
+    dcols = np.matmul(w2t, dz, out=ws.take("cols", (c * k * k, h * w), dz.dtype))  # the columns are spent
     d5 = dcols.reshape(c, k, k, h, w)
-    dxp = np.zeros((c, h + 2 * r, w + 2 * r), dtype=dcols.dtype)
+    dxp = ws.take("pad", (c, h + 2 * r, w + 2 * r), dz.dtype)  # and so is the padded input
+    dxp.fill(0)
     for di in range(k):
         for dj in range(k):
             dxp[:, di : di + h, dj : dj + w] += d5[:, di, dj]
-    return dxp[:, r : r + h, r : r + w]
+    return dxp[:, r : r + h, r : r + w].reshape(c, h * w)  # the reshape copies the strided interior
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -188,34 +229,37 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("cn,cn->c", a, b).astype(np.float64)
 
 
+def _centred_conv(blk: BlockParams, x: np.ndarray, k: int, ws: Workspace, mean: np.ndarray | None = None):
+    """(z, mean): the block's conv output [C, H*W] in the dtype of ``x``,
+    centred per channel by ``mean``, its batch mean unless given."""
+    z = blk.w.reshape(blk.w.shape[0], -1).astype(x.dtype) @ _cols(x, k, ws)
+    if mean is None:
+        mean = _row_sums(z) / z.shape[1]
+    z -= mean.astype(x.dtype)[:, None]
+    return z, mean
+
+
 @dataclass
 class _BlockCache:
-    """One block of a train-mode cache (module docstring).  The block's
-    post-ReLU output is not kept: ``_relu`` recomputes it from ``z``."""
+    """One block of a train-mode cache (module docstring)."""
 
     x_in: np.ndarray | None  # [C_in, H, W] input features on block 0; None on later blocks
     hw: tuple[int, int]  # (H, W) of the map
-    z: np.ndarray        # [C, H*W] conv output, centred per channel
+    z: np.ndarray | None  # [C, H*W] centred conv output; None on block 0, recomputed there
     mean: np.ndarray     # [C] batch mean of the conv output
     var: np.ndarray      # [C] batch variance of the conv output
     inv_std: np.ndarray  # [C]
     scale: np.ndarray    # [C] gamma * inv_std
     shift: np.ndarray    # [C] beta
 
-    @property
-    def y(self) -> np.ndarray:
-        """Pre-ReLU activation [C, H, W]."""
-        y = self.z * self.scale[:, None] + self.shift[:, None]
-        return y.reshape((-1,) + self.hw)
 
-
-def _relu(bc: _BlockCache, out: np.ndarray | None = None) -> np.ndarray:
-    """Post-ReLU output [C, H*W] of a train-mode block, by the forward's
-    own ops in the activation dtype, so a recompute equals the forward's
-    array byte for byte.  ``out`` is a spent [C, H*W] buffer to reuse."""
-    dtype = bc.z.dtype
-    a = np.multiply(bc.z, bc.scale.astype(dtype)[:, None], out=out)
-    a += bc.shift.astype(dtype)[:, None]
+def _relu(z: np.ndarray, bc: _BlockCache, out: np.ndarray | None = None) -> np.ndarray:
+    """Post-ReLU output [C, H*W] of a train-mode block from its centred conv
+    output ``z``, by the forward's own ops in the activation dtype, so a
+    recompute equals the forward's array byte for byte.  ``out`` is a spent
+    [C, H*W] buffer to reuse (``z`` itself included)."""
+    a = np.multiply(z, bc.scale.astype(z.dtype)[:, None], out=out)
+    a += bc.shift.astype(z.dtype)[:, None]
     return np.maximum(a, 0.0, out=a)
 
 
@@ -223,16 +267,20 @@ def _relu(bc: _BlockCache, out: np.ndarray | None = None) -> np.ndarray:
 class HeadCache:
     params: HeadParams
     blocks: list[_BlockCache]
+    workspace: Workspace  # scratch memory of the k > 1 convolutions, shared with the forward
 
 
-def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval"):
+def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval", *,
+                 workspace: Workspace | None = None):
     """Run the head over [D, H, W] features; returns (logits [2, H, W], cache).
 
     Train mode normalizes with this map's own spatial statistics and
     returns the cache needed by ``head_backward``, which also carries those
     statistics for ``commit_batch_stats``; the running statistics are left
-    untouched.  Eval mode uses running statistics, runs over row bands
-    (``_eval_bands``) and returns None for the cache.
+    untouched.  Its k > 1 convolutions use ``workspace``, which the cache
+    keeps for the backward (a fresh one when None).  Eval mode uses
+    running statistics, runs over row bands (``_eval_bands``) and returns
+    None for the cache.
 
     Logits come back in the precision of the computation (see the module
     docstring).
@@ -248,22 +296,20 @@ def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval"):
     if mode == "eval":
         return _eval_bands(params, x), None
     h, w = x.shape[1:]
+    ws = workspace if workspace is not None else Workspace()
     caches: list[_BlockCache] = []
     for blk in params.blocks:
-        cols = _cols(x, cfg.kernel_size)
-        z = blk.w.reshape(blk.w.shape[0], -1).astype(dtype) @ cols
-        n = z.shape[1]
-        mean = _row_sums(z) / n
-        z -= mean.astype(dtype)[:, None]
-        var = _row_dots(z, z) / n
+        z, mean = _centred_conv(blk, x, cfg.kernel_size, ws)
+        var = _row_dots(z, z) / z.shape[1]
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-        x_in = None if caches else x  # only the features are kept; later inputs are recomputed
-        bc = _BlockCache(x_in, (h, w), z, mean, var, inv_std, blk.gamma * inv_std, blk.beta.copy())
+        first = not caches  # block 0 keeps the features, not z: its ReLU output overwrites z
+        bc = _BlockCache(x if first else None, (h, w), None if first else z,
+                         mean, var, inv_std, blk.gamma * inv_std, blk.beta.copy())
         caches.append(bc)
-        x = _relu(bc).reshape(-1, h, w)
+        x = _relu(z, bc, out=z if first else None).reshape(-1, h, w)
     logits = params.out_w.astype(dtype) @ x.reshape(x.shape[0], -1)
     logits += params.out_b.astype(dtype)[:, None]
-    return logits.reshape(OUT_CHANNELS, h, w), HeadCache(params=params, blocks=caches)
+    return logits.reshape(OUT_CHANNELS, h, w), HeadCache(params=params, blocks=caches, workspace=ws)
 
 
 def _eval_bands(params: HeadParams, x: np.ndarray) -> np.ndarray:
@@ -279,13 +325,14 @@ def _eval_bands(params: HeadParams, x: np.ndarray) -> np.ndarray:
     out_w = params.out_w.astype(dtype)
     halo = len(folded) * (k // 2)  # rows the blocks' 'same' padding spoils at a band edge
     rows = max(1, TILE_PIXELS // max(w, 1), BAND_HALOS * halo)
+    ws = Workspace()
     logits = np.empty((OUT_CHANNELS, h, w), dtype=dtype)
     for top in range(0, h, rows):
         bottom = min(top + rows, h)
         lo, hi = max(top - halo, 0), min(bottom + halo, h)
         a = x[:, lo:hi]
         for w2, bias in folded:
-            a = w2 @ _cols(a, k)
+            a = w2 @ _cols(a, k, ws)
             a += bias
             a = np.maximum(a, 0.0, out=a).reshape(-1, hi - lo, w)
         band = a[:, top - lo : bottom - lo].reshape(a.shape[0], -1)
@@ -321,34 +368,34 @@ def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray)
     g = np.asarray(grad_logits)
     if g.shape != (OUT_CHANNELS,) + hw:
         raise ValueError(f"grad shape {g.shape} does not match logits")
-    dtype = cache.blocks[0].z.dtype
+    b0, k, ws = cache.blocks[0], params.config.kernel_size, cache.workspace
+    dtype = b0.x_in.dtype
     g2 = g.reshape(OUT_CHANNELS, -1).astype(dtype, copy=False)
-    act = _relu(cache.blocks[-1])  # a fresh buffer, reused for every later recompute
+    zs = [_centred_conv(params.blocks[0], b0.x_in, k, ws, b0.mean)[0]] + [bc.z for bc in cache.blocks[1:]]
+    act = _relu(zs[-1], cache.blocks[-1])  # a fresh buffer, reused for every later recompute
     grads: dict[str, np.ndarray] = {
         "out.w": (g2 @ act.T).astype(np.float64),
         "out.b": _row_sums(g2),
     }
     da = params.out_w.T.astype(dtype) @ g2
-    k = params.config.kernel_size
     for i in reversed(range(len(params.blocks))):
-        blk, bc = params.blocks[i], cache.blocks[i]
+        blk, bc, z = params.blocks[i], cache.blocks[i], zs[i]
         dz = np.multiply(da, act > 0.0, out=da)  # ReLU gate; da is a fresh array
         # dz = scale * (dy - mean(dy) - xhat * mean(dy * xhat)), xhat = inv_std * z
         n = dz.shape[1]
         r = _row_sums(dz)
-        s = _row_dots(dz, bc.z)
+        s = _row_dots(dz, z)
         grads[f"block{i}.gamma"] = bc.inv_std * s
         grads[f"block{i}.beta"] = r
         dz *= bc.scale.astype(dtype)[:, None]
         dz -= (bc.scale * r / n).astype(dtype)[:, None]
-        dz -= np.multiply(bc.z, (bc.scale * bc.inv_std**2 * s / n).astype(dtype)[:, None], out=act)
+        dz -= np.multiply(z, (bc.scale * bc.inv_std**2 * s / n).astype(dtype)[:, None], out=act)
         # the block input: the features, or the previous block's output, which
         # its gate then reads
-        x_in = bc.x_in if i == 0 else _relu(cache.blocks[i - 1], out=act).reshape((-1,) + hw)
-        grads[f"block{i}.w"] = (dz @ _cols(x_in, k).T).astype(np.float64).reshape(blk.w.shape)
+        x_in = bc.x_in if i == 0 else _relu(zs[i - 1], cache.blocks[i - 1], out=act).reshape((-1,) + hw)
+        grads[f"block{i}.w"] = (dz @ _cols(x_in, k, ws).T).astype(np.float64).reshape(blk.w.shape)
         if i > 0:
-            dcols = blk.w.reshape(blk.w.shape[0], -1).T.astype(dtype) @ dz
-            da = _uncols(dcols, k, x_in.shape).reshape(x_in.shape[0], -1)
+            da = _input_grad(blk.w.reshape(blk.w.shape[0], -1).T.astype(dtype), dz, k, x_in.shape, ws)
     return grads
 
 

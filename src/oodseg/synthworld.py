@@ -180,19 +180,22 @@ def frozen_digest(model: FrozenModel) -> str:
 
 
 def _pixel_stack(image: np.ndarray) -> np.ndarray:
-    """[29, H, W] per-pixel descriptor: 3x3 neighborhood colors + coordinates."""
-    img = np.asarray(image, dtype=np.float64) / 255.0
-    h, w = img.shape[:2]
-    padded = np.pad(img, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    planes = []
-    for dy in range(3):
-        for dx in range(3):
-            window = padded[dy : dy + h, dx : dx + w]
-            for c in range(3):
-                planes.append(window[:, :, c])
-    planes.append(np.broadcast_to(np.arange(w, dtype=np.float64)[None, :] / w, (h, w)))
-    planes.append(np.broadcast_to(np.arange(h, dtype=np.float64)[:, None] / h, (h, w)))
-    return np.stack(planes)
+    """[29, H, W] per-pixel descriptor: 3x3 neighborhood colors + coordinates.
+
+    The 27 color planes, in (tap row, tap column, channel) order, are one
+    strided copy of the edge-padded image's 3x3 windows.
+    """
+    h, w = image.shape[:2]
+    padded = np.empty((h + 2, w + 2, 3))  # the image in [0, 1], edge-padded by one pixel
+    np.divide(image, 255.0, out=padded[1:-1, 1:-1], dtype=np.float64)
+    padded[0], padded[-1] = padded[1], padded[-2]
+    padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(0, 1))  # [3, 3, 3, H, W]
+    stack = np.empty((29, h, w))
+    stack[:27].reshape(windows.shape)[...] = windows
+    stack[27] = np.arange(w, dtype=np.float64) / w
+    stack[28] = (np.arange(h, dtype=np.float64) / h)[:, None]
+    return stack
 
 
 def frozen_encoder(model: FrozenModel, image: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .estimators import HEAD_SCORERS, SCORERS, all_score_maps, combined_map, jem
 from .head import (
     HeadConfig,
     HeadParams,
+    Workspace,
     commit_batch_stats,
     head_backward,
     head_forward,
@@ -130,6 +131,7 @@ def _prepare_example(
     cfg: TrainConfig,
     iteration: int,
     slot: int,
+    workspace: Workspace,
 ):
     """Steps per batch slot: paste, encode, train-mode forward, score, partition.
 
@@ -140,6 +142,7 @@ def _prepare_example(
     returned cache carries the batch statistics for ``commit_batch_stats``.
     ``corners`` runs parallel to ``images`` (``donor_corners`` of each);
     the target leaves both lists, so every donor keeps its own corners.
+    The forward takes its scratch memory from the run's ``workspace``.
     Returns ((logits, jem, partition), cache).
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(iteration, slot)))
@@ -150,7 +153,8 @@ def _prepare_example(
     feats = frozen_encoder(frozen, scene.image)
     seg = seg_logits_map(frozen, feats)
     jem = jem_map(seg)
-    logits, cache = head_forward(head, feats.astype(np.float32), mode="train")  # the head trains in float32
+    # the head trains in float32
+    logits, cache = head_forward(head, feats.astype(np.float32), mode="train", workspace=workspace)
     logits = logits.astype(np.float64)
     score = jem if iteration < cfg.warmup_iters else combined_map(logits, seg, cfg.lam)
     if not np.isfinite(score).all():
@@ -174,6 +178,7 @@ def _step(
     cfg: TrainConfig,
     iteration: int,
     slots: list,
+    workspace: Workspace,
 ) -> tuple[float, float, int, int, float]:
     """One training iteration; returns (l_a, l_o, n_ood, n_ignored, eta).
 
@@ -181,13 +186,14 @@ def _step(
     head cache included, and each is replaced as soon as its successor
     exists.  So at most one cache more than the batch is alive, and the
     allocator hands a released cache's memory to the next slot.  A desk
-    cache (64x64 scene, 16 features, 3 blocks of 32) holds 1.8 MB: the
-    float32 features and one [32, 4096] float32 array per block.  Releasing
+    cache (64x64 scene, 16 features, 3 blocks of 32) holds 1.3 MB: the
+    float32 features and one [32, 4096] float32 array per block after the
+    first.  The caches share the run's ``workspace``.  Releasing
     every cache at the end of the iteration instead returns their memory
     to the system, and the next iteration faults it back in page by page.
     """
     for s in range(cfg.batch_size):
-        slots[s] = _prepare_example(images, corners, frozen, head, cfg, iteration, s)
+        slots[s] = _prepare_example(images, corners, frozen, head, cfg, iteration, s, workspace)
     items = [item for item, _ in slots]
     parts = [part for _, _, part in items]
     total, l_a, l_o, grads = batch_total_loss(items, cfg.gamma, cfg.w_a, cfg.w_o, cfg.margin)
@@ -235,13 +241,14 @@ def train(
     # one Harris pass per training image, keyed by its index in train_images
     corners = [donor_corners(image) for image in train_images]
     slots = [None] * cfg.batch_size
+    workspace = Workspace()  # the im2col buffers of every k > 1 forward and backward of the run
     for it in range(cfg.iterations):
         tic = time.perf_counter()
         try:
             # a diverging head overflows float32 first; the explicit score and
             # loss checks in _step report that, naming the iteration
             with np.errstate(over="ignore", invalid="ignore"):
-                stats = _step(train_images, corners, frozen, head, adam, cfg, it, slots)
+                stats = _step(train_images, corners, frozen, head, adam, cfg, it, slots, workspace)
         except (EmptyPastedRegionError, DegeneratePartitionError):
             log.aborted += 1
             continue

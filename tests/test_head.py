@@ -19,6 +19,7 @@ from oodseg.head import (
     BAND_HALOS,
     TILE_PIXELS,
     HeadConfig,
+    Workspace,
     commit_batch_stats,
     HeadShapeError,
     head_backward,
@@ -33,6 +34,24 @@ FD_EPS = 1e-5
 KINK_CLEARANCE = 2e-3
 
 
+def pre_relu(params, x):
+    """Every block's pre-ReLU activation [C, H, W] in a train-mode forward,
+    by a reference written apart from the head: a zero-padded correlation
+    tap by tap, then batchnorm with the map's own statistics."""
+    k = params.config.kernel_size
+    r = k // 2
+    out = []
+    for blk in params.blocks:
+        h, w = x.shape[1:]
+        xp = np.pad(x, ((0, 0), (r, r), (r, r)))
+        taps = [(i, j) for i in range(k) for j in range(k)]
+        z = sum(np.tensordot(blk.w[:, :, i, j], xp[:, i : i + h, j : j + w], axes=1) for i, j in taps)
+        xhat = (z - z.mean(axis=(1, 2), keepdims=True)) / np.sqrt(z.var(axis=(1, 2), keepdims=True) + BN_EPSILON)
+        out.append(xhat * blk.gamma[:, None, None] + blk.beta[:, None, None])
+        x = np.maximum(out[-1], 0.0)
+    return out
+
+
 def clear_instance(seed, cfg, shape=(5, 4), clearance=KINK_CLEARANCE):
     """Params, features, target with every pre-ReLU activation off the kink."""
     for sub in range(64):
@@ -40,8 +59,7 @@ def clear_instance(seed, cfg, shape=(5, 4), clearance=KINK_CLEARANCE):
         params = head_init(cfg, seed=int(rng.integers(2**31)))
         x = rng.standard_normal((cfg.feature_dim,) + shape)
         tgt = rng.standard_normal((2,) + shape)
-        _, cache = head_forward(params, x, mode="train")
-        if min(float(np.min(np.abs(bc.y))) for bc in cache.blocks) > clearance:
+        if min(float(np.min(np.abs(y))) for y in pre_relu(params, x)) > clearance:
             return params, x, tgt
     raise AssertionError("no kink-free instance in 64 draws")
 
@@ -161,7 +179,11 @@ class TestForward:
         var = z.var(axis=(1, 2))
         expected = np.maximum((z - mu[:, None, None]) / np.sqrt(var + BN_EPSILON)[:, None, None], 0.0)
         logits, cache = head_forward(params, x, mode="train")
-        np.testing.assert_allclose(np.maximum(cache.blocks[0].y, 0.0), expected, atol=1e-10)
+        np.testing.assert_allclose(cache.blocks[0].mean, mu, atol=1e-10)
+        np.testing.assert_allclose(cache.blocks[0].var, var, atol=1e-10)
+        # block 0's ReLU output is not kept; it reaches the logits through the projection
+        projected = np.tensordot(params.out_w, expected, axes=1) + params.out_b[:, None, None]
+        np.testing.assert_allclose(logits, projected, atol=1e-10)
 
     def test_running_stats_update_rule(self):
         cfg = HeadConfig(feature_dim=4, blocks=1, hidden=3)
@@ -331,7 +353,8 @@ class TestBackward:
         assert worst < 1e-6, f"gradient mismatch {worst:.3e}"
 
     def test_gradcheck_kernel3(self):
-        cfg = HeadConfig(feature_dim=3, blocks=1, hidden=4, kernel_size=3)
+        # two blocks, so the input gradient's col2im (_input_grad) is checked too
+        cfg = HeadConfig(feature_dim=3, blocks=2, hidden=4, kernel_size=3)
         params, x, tgt = clear_instance(1, cfg)
         assert max_grad_error(params, x, tgt) < 1e-6
 
@@ -412,7 +435,8 @@ class TestBackward:
 
     def test_train_cache_keeps_one_array_per_block(self):
         # desk head on 64x64 float32 features: the cache holds the features
-        # and one [hidden, H*W] array per block, not the ReLU outputs too
+        # and one [hidden, H*W] array per block after the first, not block
+        # 0's conv output nor the ReLU outputs
         cfg = HeadConfig(feature_dim=16)
         params = head_init(cfg, seed=0)
         h = w = 64
@@ -426,8 +450,32 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert cache.blocks[0].x_in.shape == (cfg.feature_dim, h, w)
-        bound = (cfg.feature_dim + cfg.blocks * cfg.hidden) * h * w * 4 + 64 * 1024
+        bound = (cfg.feature_dim + (cfg.blocks - 1) * cfg.hidden) * h * w * 4 + 64 * 1024
         assert retained <= bound, f"train cache retains {retained} bytes, bound {bound}"
+        assert not cache.workspace._flat, "a 1x1 head takes no workspace memory"
+
+    def test_shared_workspace_keeps_kernel3_gradients(self):
+        # caches of one run share a workspace: backwards of other caches in
+        # between, one of another map shape, leave a backward's bytes as a
+        # private workspace gives them, and no gradient is workspace memory
+        params = head_init(HeadConfig(feature_dim=4, blocks=3, hidden=6, kernel_size=3), seed=5)
+        rng = np.random.default_rng(6)
+        maps = [rng.standard_normal((4,) + hw).astype(np.float32) for hw in ((9, 11), (9, 11), (6, 13))]
+        grads = [rng.standard_normal((2,) + x.shape[1:]) for x in maps]
+        logits, private = head_forward(params, maps[0], mode="train")
+        expect = head_backward(params, private, grads[0])
+        ws = Workspace()
+        caches = [head_forward(params, x, "train", workspace=ws)[1] for x in maps]
+        runs = [head_backward(params, cache, g) for cache, g in zip(caches, grads)]
+        runs.append(head_backward(params, caches[0], grads[0]))
+        assert ws._flat
+        for got in (runs[0], runs[-1]):
+            assert set(got) == set(expect)
+            for name, grad in got.items():
+                assert grad.tobytes() == expect[name].tobytes(), name
+        for got in runs:
+            for name, grad in got.items():
+                assert not any(np.shares_memory(grad, buf) for buf in ws._flat.values()), name
 
     def test_grads_cover_all_trainables(self):
         params = head_init(HeadConfig(feature_dim=4), seed=0)

@@ -10,6 +10,7 @@ from oodseg.synthworld import (
     ArtifactError,
     FrozenModel,
     SceneSpec,
+    _pixel_stack,
     decoder_accuracy,
     export_dataset,
     fit_frozen_decoder,
@@ -116,6 +117,21 @@ class TestFrozenEncoder:
         ]
         expect += [j / 5.0, i / 6.0]
         np.testing.assert_allclose(feats[:, i, j], expect, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (6, 5), (64, 64)])
+    def test_pixel_stack_equals_padded_slices(self, hw, dtype):
+        # the one strided copy equals np.pad, 27 slices and np.stack byte for byte
+        image = (np.random.default_rng(3).random(hw + (3,)) * 255).astype(dtype)
+        img = np.asarray(image, dtype=np.float64) / 255.0
+        padded = np.pad(img, ((1, 1), (1, 1), (0, 0)), mode="edge")
+        h, w = hw
+        planes = [padded[dy : dy + h, dx : dx + w, c] for dy in range(3) for dx in range(3) for c in range(3)]
+        planes.append(np.broadcast_to(np.arange(w, dtype=np.float64)[None, :] / w, hw))
+        planes.append(np.broadcast_to(np.arange(h, dtype=np.float64)[:, None] / h, hw))
+        got = _pixel_stack(image)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.stack(planes).tobytes()
 
     def test_edge_replication(self):
         image = np.zeros((4, 4, 3), dtype=np.uint8)
