@@ -166,33 +166,39 @@ def _record_run(out: Path, record: dict, frozen: FrozenModel | None = None) -> s
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _section(config: dict, name: str, **extra):
-    """The dataclass of section ``name``; invalid values are config errors."""
+@contextlib.contextmanager
+def _blame(name: str, errors=BadValueError):
+    """Re-raise ``errors`` as a config error that names section ``name``."""
     try:
-        return SECTIONS[name](**config[name], **extra)
-    except ValueError as exc:
+        yield
+    except errors as exc:
         raise ConfigError(f"{name} config invalid: {exc}") from exc
 
 
+def _section(config: dict, name: str, **extra):
+    """The dataclass of section ``name``; invalid values are config errors."""
+    with _blame(name, ValueError):
+        return SECTIONS[name](**config[name], **extra)
+
+
+def _world_head(config: dict) -> HeadConfig:
+    """The head section at the feature_dim of the world that ``config`` builds."""
+    dim = config["frozen"]["feature_dim"]
+    if dim < 1:  # else the head section would take the blame
+        raise ConfigError(f"frozen config invalid: feature_dim must be >= 1, got {dim}")
+    return _section(config, "head", feature_dim=dim)
+
+
 def _gen_data(config: dict, out: Path) -> None:
-    data = config["data"]
-    export_dataset(
-        _section(config, "scene"),
-        n_train=data["train_scenes"],
-        n_eval=data["eval_scenes"],
-        out_dir=out,
-        seed=data["seed"],
-    )
+    data, scene = config["data"], _section(config, "scene")
+    with _blame("data"):
+        export_dataset(scene, data["train_scenes"], data["eval_scenes"], out, data["seed"])
 
 
 def _fit_frozen(config: dict) -> FrozenModel:
-    fz = config["frozen"]
-    return fit_frozen_decoder(
-        _section(config, "scene"),
-        feature_dim=fz["feature_dim"],
-        n_scenes=fz["fit_scenes"],
-        seed=fz["seed"],
-    )
+    fz, scene = config["frozen"], _section(config, "scene")
+    with _blame("frozen"):
+        return fit_frozen_decoder(scene, fz["feature_dim"], fz["fit_scenes"], fz["seed"])
 
 
 def cmd_gen_data(args) -> int:
@@ -305,7 +311,7 @@ ABLATE_ARMS = {
 def cmd_ablate(args) -> int:
     config = load_config(args.config, args.set)
     base = _section(config, "train")  # train and head are checked before the world is built
-    head_cfg = _section(config, "head", feature_dim=config["frozen"]["feature_dim"])  # the world's
+    head_cfg = _world_head(config)
     out = Path(args.out)
     images, frozen, eval_set = _prepare_world(config, out)
     rows = {}
@@ -330,7 +336,7 @@ def cmd_sweep(args) -> int:
     if args.param not in SWEEP_PARAMS:
         raise ConfigError(f"--param must be one of {sorted(SWEEP_PARAMS)}, got {args.param!r}")
     key = SWEEP_PARAMS[args.param]
-    head_cfg = _section(config, "head", feature_dim=config["frozen"]["feature_dim"])  # the world's
+    head_cfg = _world_head(config)
     cfgs = []
     for raw in args.values:  # typed and checked like --set, before any work
         run_cfg = copy.deepcopy(config)

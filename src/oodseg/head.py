@@ -131,9 +131,6 @@ class HeadParams:
         """Gradient-carrying leaves in a fixed order (running stats excluded)."""
         return [(name, arr) for name, arr in self.arrays() if ".run_" not in name]
 
-    def n_parameters(self) -> int:
-        return sum(arr.size for _, arr in self.arrays())
-
 
 def _shapes(cfg: HeadConfig) -> dict[str, tuple[int, ...]]:
     """Shape of every stored array by leaf name: the blocks in order, then out."""

@@ -18,6 +18,9 @@ class MetricInputError(ValueError):
     """Score/label sets that no metric is defined on."""
 
 
+FPR_TPR = 0.95  # the TPR at which evaluate_scores reads its fpr95 column
+
+
 @dataclass(frozen=True)
 class EvalResult:
     ap: float
@@ -43,12 +46,6 @@ def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     if n_pos == 0 or n_pos == y.size:
         raise MetricInputError("need at least one positive and one negative")
     return s, y
-
-
-def _checked_target(target: float) -> float:
-    if not 0.0 < target <= 1.0:
-        raise MetricInputError(f"target must be in (0, 1], got {target}")
-    return target
 
 
 class _Curve:
@@ -97,18 +94,20 @@ def average_precision(scores, labels) -> float:
     return _Curve(scores, labels).average_precision()
 
 
-def fpr_at_tpr(scores, labels, target: float = 0.95) -> float:
+def fpr_at_tpr(scores, labels, target: float) -> float:
     """FPR at the first grouped operating point whose TPR reaches ``target``."""
-    return _Curve(scores, labels).fpr_at_tpr(_checked_target(target))
+    if not 0.0 < target <= 1.0:
+        raise MetricInputError(f"target must be in (0, 1], got {target}")
+    return _Curve(scores, labels).fpr_at_tpr(target)
 
 
-def evaluate_scores(scores, labels, target: float = 0.95) -> EvalResult:
-    target = _checked_target(target)
+def evaluate_scores(scores, labels) -> EvalResult:
+    """Every metric of one score set; FPR is read at TPR ``FPR_TPR``."""
     curve = _Curve(scores, labels)
     return EvalResult(
         ap=curve.average_precision(),
         auroc=curve.auroc(),
-        fpr95=curve.fpr_at_tpr(target),
+        fpr95=curve.fpr_at_tpr(FPR_TPR),
         n_pos=curve.n_pos,
         n_neg=curve.n_neg,
     )

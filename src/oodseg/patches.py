@@ -33,6 +33,8 @@ class DegeneratePolygonError(ValueError):
 MIN_SIDE = 8  # no crop side is shorter; a smaller donor cannot be cropped
 CROP_MIN_DIV = 16  # crop side lower bound: donor extent / 16, but at least MIN_SIDE
 CROP_MAX_DIV = 4  # crop side upper bound: donor extent / 4
+HARRIS_K = 0.04  # R = det(M) - k * trace(M)^2
+HARRIS_SIGMA = 1.0  # standard deviation of the structure tensor's Gaussian window
 HARRIS_THRESH_FRAC = 0.01  # a corner's response is at least this fraction of the donor's peak
 HARRIS_NMS_RADIUS = 2  # a corner is the strict maximum of its (2r + 1)^2 window
 
@@ -48,9 +50,8 @@ class PatchCandidate:
 
 @dataclass
 class PolygonPatch:
-    vertices: list[tuple[float, float]]  # CCW, patch-local coordinates
-    mask: np.ndarray                     # bool [h, w]
-    texture: np.ndarray                  # uint8 [h, w, 3]
+    mask: np.ndarray     # bool [h, w]
+    texture: np.ndarray  # uint8 [h, w, 3]
 
 
 @dataclass
@@ -118,51 +119,47 @@ def _smooth(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return a
 
 
-def harris_corners(
-    gray: np.ndarray,
-    k: float = 0.04,
-    sigma: float = 1.0,
-    thresh_frac: float = HARRIS_THRESH_FRAC,
-    nms_radius: int = HARRIS_NMS_RADIUS,
-) -> list[tuple[int, int]]:
+def harris_corners(gray: np.ndarray) -> list[tuple[int, int]]:
     """Corner points (x, y) of the response R = det(M) - k * trace(M)^2.
 
-    M is the Gaussian-windowed structure tensor of central-difference
-    gradients.  Points keep only strict local maxima at or above
-    ``thresh_frac`` of the peak response, strictly inside a border margin
-    where gradients and smoothing have full support.
+    M is the structure tensor of central-difference gradients, windowed by
+    a Gaussian of standard deviation ``HARRIS_SIGMA``, and k is
+    ``HARRIS_K``.  Points keep only strict maxima of their
+    (2 ``HARRIS_NMS_RADIUS`` + 1)^2 window at or above ``HARRIS_THRESH_FRAC``
+    of the peak response, strictly inside a border margin where gradients
+    and smoothing have full support.  The constants are read at each call.
     """
     g = np.asarray(gray, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"expected a single-channel image, got shape {g.shape}")
-    taps = _gauss_taps(sigma)
+    taps = _gauss_taps(HARRIS_SIGMA)
     margin = len(taps) // 2 + 1
     h, w = g.shape
     if h <= 2 * margin or w <= 2 * margin:
         return []
     iy, ix = np.gradient(g)
     sxx, syy, sxy = _smooth(np.stack([ix * ix, iy * iy, ix * iy]), taps)
-    r = (sxx * syy - sxy * sxy) - k * (sxx + syy) ** 2
+    r = (sxx * syy - sxy * sxy) - HARRIS_K * (sxx + syy) ** 2
     peak = r.max()
     if peak <= 0.0:
         return []
     # strict maxima only: a candidate must exceed every other response in
     # its (border-clipped) window, so plateaus suppress themselves
-    nr = nms_radius
+    nr = HARRIS_NMS_RADIUS
     padded = np.pad(r, nr, constant_values=-np.inf)
     others = np.full_like(r, -np.inf)
     for dy in range(2 * nr + 1):
         for dx in range(2 * nr + 1):
             if (dy, dx) != (nr, nr):
                 np.maximum(others, padded[dy : dy + h, dx : dx + w], out=others)
-    keep = (r > others) & (r >= thresh_frac * peak)
+    keep = (r > others) & (r >= HARRIS_THRESH_FRAC * peak)
     inner = keep[margin : h - margin, margin : w - margin]
     return [(j + margin, i + margin) for i, j in np.argwhere(inner).tolist()]
 
 
 def donor_corners(image: np.ndarray) -> np.ndarray:
     """Harris corners (x, y) of a whole donor's luma, as an int [n, 2] array."""
-    pts = harris_corners(luma(image), thresh_frac=HARRIS_THRESH_FRAC, nms_radius=HARRIS_NMS_RADIUS)
+    pts = harris_corners(luma(image))
     return np.array(pts, dtype=np.int64).reshape(-1, 2)
 
 
@@ -219,9 +216,7 @@ def rasterize(polygon, width: int, height: int) -> np.ndarray:
 
 
 def _rect_patch(texture: np.ndarray) -> PolygonPatch:
-    h, w = texture.shape[:2]
-    verts = [(0.0, 0.0), (float(w), 0.0), (float(w), float(h)), (0.0, float(h))]
-    return PolygonPatch(vertices=verts, mask=np.ones((h, w), dtype=bool), texture=texture)
+    return PolygonPatch(mask=np.ones(texture.shape[:2], dtype=bool), texture=texture)
 
 
 def build_patches(
@@ -254,7 +249,7 @@ def build_patches(
         except (DegenerateHullError, DegeneratePolygonError):
             patches.append(_rect_patch(crop))
             continue
-        patches.append(PolygonPatch(vertices=hull, mask=mask, texture=crop))
+        patches.append(PolygonPatch(mask=mask, texture=crop))
     return patches
 
 

@@ -46,6 +46,9 @@ class BadValueError(ValueError):
 NOISE = 0.03             # uniform pixel noise amplitude, fraction of full scale
 SHAPES = (3, 6)          # in-distribution shapes per scene, inclusive bounds, but at least one per class
 ANOMALY_SHAPES = (1, 3)  # anomalous shapes per eval scene, inclusive bounds
+RIDGE_LAMBDA = 1e-2      # the frozen fit's ridge penalty, on covariance scale
+ACCURACY_SCENES = 20     # fresh scenes that decoder_accuracy scores
+ACCURACY_SEED = 9000     # their seed, apart from every fit and export seed
 
 
 @dataclass(frozen=True)
@@ -208,19 +211,13 @@ def seg_logits_map(model: FrozenModel, features: np.ndarray) -> np.ndarray:
     return np.tensordot(model.dec_w, features, axes=1) + model.dec_b[:, None, None]
 
 
-def fit_frozen_decoder(
-    spec: SceneSpec,
-    feature_dim: int = 16,
-    n_scenes: int = 100,
-    ridge_lam: float = 1e-2,
-    seed: int = 0,
-) -> FrozenModel:
+def fit_frozen_decoder(spec: SceneSpec, feature_dim: int, n_scenes: int, seed: int) -> FrozenModel:
     """Fit the frozen model: seeded projection, then closed-form ridge
     regression from features to one-hot labels over generated scenes.
 
     The normal equations are normalized by the pixel count, so
-    ``ridge_lam`` acts on covariance scale and ridge_lam -> inf drives
-    every coefficient to zero.
+    ``RIDGE_LAMBDA``, read at each call, acts on covariance scale, and a
+    large one drives every coefficient towards zero.
     """
     if feature_dim < 1:
         raise BadValueError(f"feature_dim must be >= 1, got {feature_dim}")
@@ -245,16 +242,17 @@ def fit_frozen_decoder(
         ata += x @ x.T
         aty += x @ y.T
         n_total += x.shape[1]
-    w_aug = np.linalg.solve(ata / n_total + ridge_lam * np.eye(d), aty / n_total)
+    w_aug = np.linalg.solve(ata / n_total + RIDGE_LAMBDA * np.eye(d), aty / n_total)
     return FrozenModel(projection=proj, dec_w=w_aug[:feature_dim].T.copy(), dec_b=w_aug[feature_dim].copy())
 
 
-def decoder_accuracy(model: FrozenModel, spec: SceneSpec, n_scenes: int = 20, seed: int = 9000) -> float:
-    """Pixel argmax accuracy on freshly generated in-distribution scenes."""
+def decoder_accuracy(model: FrozenModel, spec: SceneSpec) -> float:
+    """Pixel argmax accuracy on ``ACCURACY_SCENES`` freshly generated
+    in-distribution scenes."""
     hit = 0
     total = 0
-    for i in range(n_scenes):
-        rng = np.random.default_rng([seed, i])
+    for i in range(ACCURACY_SCENES):
+        rng = np.random.default_rng([ACCURACY_SEED, i])
         image, labels, _ = generate_scene(spec, rng)
         pred = np.argmax(seg_logits_map(model, frozen_encoder(model, image)), axis=0)
         hit += int(np.sum(pred == labels))
@@ -298,7 +296,7 @@ def load_frozen(model_dir: str | Path) -> FrozenModel:
     return model
 
 
-def export_dataset(spec: SceneSpec, n_train: int, n_eval: int, out_dir: str | Path, seed: int = 0) -> None:
+def export_dataset(spec: SceneSpec, n_train: int, n_eval: int, out_dir: str | Path, seed: int) -> None:
     """Write ``manifest.json``, ``train/scene_NNNN.ppm``, ``eval/scene_NNNN.ppm``
     and ``eval/scene_NNNN_anomaly.pgm``.
 

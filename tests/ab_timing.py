@@ -10,21 +10,23 @@ ones, so that neither side always runs first.  The ops:
 * ``desk-3x3``: the same with ``head.kernel_size=3``;
 * ``paste-heavy``: the same loop with 40 patches, per-region refinement
   and batch 4;
-* ``score``: one ``score --heatmap`` request through the CLI per eval image.
+* ``score``: one ``score --heatmap`` request through the CLI per eval image;
+* ``eval``: one ``eval`` request through the CLI over the whole eval split.
 
 Pair ``i`` trains with seed ``i``.  The inputs are one world built on disk
 by side A's CLI (``gen-data`` and ``fit-frozen`` at their defaults, and a
-10-iteration head for ``score``), which each side reads with its own
-loaders.  Every pair checks that both sides return equal bytes: the head's
-tensors and the log's fields but its wall-time column, or the score map
-and heatmap files.  A difference stops the run.
+10-iteration head for ``score`` and ``eval``), which each side reads with
+its own loaders.  Every pair checks that both sides return equal bytes: the
+head's tensors and the log's fields but its wall-time column, the score map
+and heatmap files, or ``eval.csv``.  A difference stops the run.
 
 Per op it prints each side's median CPU ms per iteration (per request for
-``score``), the median of the paired differences B - A with a bootstrap 95%
-interval of that median (Kalibera & Jones, ISMM 2013), the pairs B won, and
-each side's ``tracemalloc`` peak over one more untimed op.  Both sides share
-one allocator, so peak RSS stays a separate-process metric.  An A/A run, the
-same tree on both sides, should give intervals that hold zero.
+``score`` and ``eval``), the median of the paired differences B - A with a
+bootstrap 95% interval of that median (Kalibera & Jones, ISMM 2013), the
+pairs B won, and each side's ``tracemalloc`` peak over one more untimed op.
+Both sides share one allocator, so peak RSS stays a separate-process
+metric.  An A/A run, the same tree on both sides, should give intervals
+that hold zero.
 
     python tests/ab_timing.py --a HEAD~1 --b HEAD              # two commits
     python tests/ab_timing.py --a /path/to/other/src --b src   # a directory
@@ -60,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
-OPS = ("desk-1x1", "desk-3x3", "paste-heavy", "score")
+OPS = ("desk-1x1", "desk-3x3", "paste-heavy", "score", "eval")
 SCORE_HEAD_ITERS = 10
 BOOTSTRAP = 10_000
 
@@ -113,14 +115,19 @@ class Op:
 
     def __init__(self, op: str, side, world: dict, iters: int, out: Path):
         self.op, self.side, self.world, self.iters, self.out = op, side, world, iters, out
-        self.units = len(world["images"]) if op == "score" else iters
-        if op != "score":
+        self.units = {"score": len(world["images"]), "eval": 1}.get(op, iters)
+        if op not in ("score", "eval"):
             self.images = side.synthworld.load_train_images(world["data"])
             self.frozen = side.synthworld.load_frozen(world["frozen"])
 
     def run(self, pair: int) -> tuple[float, bytes]:
         tic = time.process_time()
-        result = self._score() if self.op == "score" else self._train(pair)
+        if self.op == "score":
+            result = self._score()
+        elif self.op == "eval":
+            result = self._eval()
+        else:
+            result = self._train(pair)
         return (time.process_time() - tic) / self.units, result
 
     def _train(self, pair: int) -> bytes:
@@ -140,6 +147,12 @@ class Op:
                             "--image", str(image), "--out", str(tnsr), "--heatmap", str(pgm)])
             got.append(tnsr.read_bytes() + pgm.read_bytes())
         return b"".join(got)
+
+    def _eval(self) -> bytes:
+        out = self.out / "eval"
+        cli(self.side, ["eval", "--head", str(self.world["head"]), "--frozen", str(self.world["frozen"]),
+                        "--data", str(self.world["data"]), "--out", str(out)])
+        return (out / "eval.csv").read_bytes()
 
 
 def traced_peak_mb(op: Op) -> float:

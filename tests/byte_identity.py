@@ -56,7 +56,7 @@ TRAIN_VARIANTS = {
     # most crops become polygons here (few at the defaults), so Harris,
     # hull and raster changes all reach the bytes; see STEP_CONSTANTS
     "polygons": [],
-    # 3x3 kernels take the im2col path (_cols/_uncols) that 1x1 kernels skip
+    # 3x3 kernels take the im2col path (_cols/_input_grad) that 1x1 kernels skip
     "kernel3": ["--set", "head.kernel_size=3"],
     # a second 3x3 shape through the run's workspace: 16-channel columns in
     # every block, so block 0's im2col buffers are no smaller than the rest

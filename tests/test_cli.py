@@ -532,28 +532,32 @@ class TestExitCodes:
         assert "iteration 1: loss is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, says",
         [
-            ["gen-data", "--set", "data.train_scenes=1"],
-            ["gen-data", "--set", "data.eval_scenes=0"],
-            ["fit-frozen", "--set", "frozen.feature_dim=0"],
-            ["fit-frozen", "--set", "frozen.fit_scenes=0"],
-            ["gen-data", "--set", "data.seed=-1"],
-            ["fit-frozen", "--set", "frozen.seed=-1"],
-            ["train", "--set", "train.seed=-1", "--data", "d", "--frozen", "f"],
-            ["ablate", "--set", "data.seed=-2"],
-            ["sweep", "--param", "patches", "--values", "abc"],
-            ["sweep", "--param", "gamma", "--values", "nan"],
-            ["train", "--set", "train.gamma=nan", "--data", "d", "--frozen", "f"],
-            ["eval", "--lam", "nan", "--frozen", "f", "--data", "d"],
-            ["score", "--lam", "inf", "--frozen", "f", "--image", "i.ppm"],
-            ["score", "--frozen", "f", "--image", "i.ppm"],  # the default scorer needs --head
-            ["ablate", "--set", "train.seed=-1"],
-            ["sweep", "--set", "head.blocks=0", "--param", "gamma", "--values", "5"],
-            ["sweep", "--param", "gamma", "--values", "-5"],
-            ["ablate", "--set", "frozen.fit_scenes=0"],
-            ["sweep", "--set", "frozen.seed=-1", "--param", "gamma", "--values", "5"],
-            ["gen-data", "--set", "scene.classes=300"],
+            (["gen-data", "--set", "data.train_scenes=1"], "data config invalid: need >= 2 training scenes"),
+            (["gen-data", "--set", "data.eval_scenes=0"], "data config invalid: need >= 1 eval scene"),
+            (["fit-frozen", "--set", "frozen.feature_dim=0"], "frozen config invalid: feature_dim must be >= 1"),
+            (["fit-frozen", "--set", "frozen.fit_scenes=0"], "frozen config invalid: need at least one scene"),
+            (["gen-data", "--set", "data.seed=-1"], "data config invalid: seed must be >= 0"),
+            (["fit-frozen", "--set", "frozen.seed=-1"], "frozen config invalid: seed must be >= 0"),
+            (["train", "--set", "train.seed=-1", "--data", "d", "--frozen", "f"], "train config invalid: seed"),
+            (["ablate", "--set", "data.seed=-2"], "data config invalid: seed must be >= 0"),
+            (["sweep", "--param", "patches", "--values", "abc"], "'train.n_patches' must be an integer"),
+            (["sweep", "--param", "gamma", "--values", "nan"], "'train.gamma' must be finite"),
+            (["train", "--set", "train.gamma=nan", "--data", "d", "--frozen", "f"], "'train.gamma' must be finite"),
+            (["eval", "--lam", "nan", "--frozen", "f", "--data", "d"], "'--lam' must be finite"),
+            (["score", "--lam", "inf", "--frozen", "f", "--image", "i.ppm"], "'--lam' must be finite"),
+            # the default scorer needs --head
+            (["score", "--frozen", "f", "--image", "i.ppm"], "--scorer combined needs --head"),
+            (["ablate", "--set", "train.seed=-1"], "train config invalid: seed"),
+            (["sweep", "--set", "head.blocks=0", "--param", "gamma", "--values", "5"], "head config invalid: blocks"),
+            (["sweep", "--param", "gamma", "--values", "-5"], "train config invalid: gamma"),
+            (["ablate", "--set", "frozen.fit_scenes=0"], "frozen config invalid: need at least one scene"),
+            (["sweep", "--set", "frozen.seed=-1", "--param", "gamma", "--values", "5"],
+             "frozen config invalid: seed must be >= 0"),
+            (["gen-data", "--set", "scene.classes=300"], "scene config invalid: need 2 to 255 classes"),
+            # the head takes its feature_dim from the world's frozen model, so the frozen section is at fault
+            (["ablate", "--set", "frozen.feature_dim=0"], "frozen config invalid: feature_dim must be >= 1"),
         ],
         ids=[
             "train_scenes",
@@ -576,9 +580,10 @@ class TestExitCodes:
             "ablate_fit_scenes",
             "sweep_frozen_seed",
             "scene_classes",
+            "ablate_feature_dim",
         ],
     )
-    def test_bad_value_is_2(self, pipeline, tmp_path, argv):
+    def test_bad_value_is_2(self, pipeline, tmp_path, capsys, argv, says):
         # TINY first, so that a value wrongly accepted costs a tiny run, not a desk-size one;
         # eval and score take no config.  Their missing inputs would exit 3 if read.
         # DATA and FROZEN name the pipeline's world, for values only training can reach.
@@ -587,6 +592,7 @@ class TestExitCodes:
         argv = [world.get(a, a) for a in argv]
         assert main([argv[0], *tiny, *argv[1:], "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()  # every value is checked before anything is written
+        assert f"config error: {says}" in capsys.readouterr().err  # and the message names its section or key
 
     @pytest.mark.parametrize(
         "key",

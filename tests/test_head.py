@@ -115,12 +115,12 @@ class TestConfig:
                 c_in = cfg.hidden
             n += 2 * cfg.hidden + 2
             params = head_init(cfg, seed=0)
-            assert params.n_parameters() == n
+            assert sum(arr.size for _, arr in params.arrays()) == n
 
     def test_default_desk_head_size(self):
         # 3 blocks of 32 channels over 16 features, 1x1 kernels:
         # (16*32 + 4*32) + 2*(32*32 + 4*32) + (2*32+2) = 3010
-        assert head_init(HeadConfig(feature_dim=16), seed=0).n_parameters() == 3010
+        assert sum(arr.size for _, arr in head_init(HeadConfig(feature_dim=16), seed=0).arrays()) == 3010
 
 
 class TestInit:

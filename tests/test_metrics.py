@@ -212,12 +212,14 @@ def _both_classes(labels):
 
 
 class TestMatchesThreeSortReference:
-    """``evaluate_scores`` equals the earlier formulation exactly, not approximately."""
+    """``evaluate_scores``, and ``fpr_at_tpr`` at other targets, equal the
+    earlier formulation exactly, not approximately."""
 
     @staticmethod
     def check(scores, labels):
-        for target in (0.95, 0.5, 1.0):
-            assert evaluate_scores(scores, labels, target) == reference_evaluate(scores, labels, target)
+        assert evaluate_scores(scores, labels) == reference_evaluate(scores, labels)
+        for target in (0.5, 1.0):
+            assert fpr_at_tpr(scores, labels, target) == reference_evaluate(scores, labels, target).fpr95
 
     def test_tie_heavy_and_continuous(self):
         rng = np.random.default_rng(3)
@@ -262,5 +264,5 @@ class TestMatchesThreeSortReference:
         self.check(np.round(rng.standard_normal(n), 2), labels)
 
     def test_bad_target_rejected_first(self):
-        with pytest.raises(MetricInputError):
-            evaluate_scores([1.0, 2.0], [0, 1], target=0.0)
+        with pytest.raises(MetricInputError, match="target"):
+            fpr_at_tpr([], [], 0.0)

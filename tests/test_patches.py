@@ -26,6 +26,15 @@ from oodseg.patches import (
 from oodseg.synthworld import SceneSpec, generate_scene
 
 
+# reference_harris keyword -> the oodseg.patches constant that harris_corners reads
+HARRIS_CONSTANTS = {
+    "k": "HARRIS_K",
+    "sigma": "HARRIS_SIGMA",
+    "thresh_frac": "HARRIS_THRESH_FRAC",
+    "nms_radius": "HARRIS_NMS_RADIUS",
+}
+
+
 def reference_harris(gray, k=0.04, sigma=1.0, thresh_frac=0.01, nms_radius=2):
     """Direct Harris formulation: per-axis tap loops, then for each candidate
     pixel a window max that only the candidate itself may reach."""
@@ -167,9 +176,21 @@ class TestHarris:
         [{}, {"thresh_frac": 1e-4, "nms_radius": 1}, {"sigma": 1.5, "nms_radius": 0}, {"k": 0.06, "nms_radius": 5}],
         ids=["defaults", "polygons", "wide_no_nms", "wide_nms"],
     )
-    def test_matches_reference_window_rule(self, reference_images, params):
+    def test_matches_reference_window_rule(self, reference_images, monkeypatch, params):
+        for name, value in params.items():
+            monkeypatch.setattr(oodseg.patches, HARRIS_CONSTANTS[name], value)
         for gray in reference_images:
-            assert harris_corners(gray, **params) == reference_harris(gray, **params)
+            assert harris_corners(gray) == reference_harris(gray, **params)
+
+    def test_reads_the_constants_at_call_time(self, monkeypatch):
+        # as donor_corners does, and so byte_identity.py's polygons step
+        gray = np.random.default_rng(3).uniform(0, 255, size=(40, 40))
+        before = harris_corners(gray)
+        monkeypatch.setattr(oodseg.patches, "HARRIS_THRESH_FRAC", 1e-4)
+        monkeypatch.setattr(oodseg.patches, "HARRIS_NMS_RADIUS", 1)
+        after = harris_corners(gray)
+        assert after == reference_harris(gray, thresh_frac=1e-4, nms_radius=1)
+        assert len(after) > len(before)
 
 
 class TestConvexHull:
@@ -252,7 +273,8 @@ class TestBuildPatches:
         cand = PatchCandidate(donor=0, x0=0, y0=0, width=48, height=48)
         (patch,) = build_patches(donors, [cand])
         corners = donor_corners(donors[0])  # the crop sits at the origin
-        assert patch.vertices == convex_hull(corners[(corners < 48).all(axis=1)].tolist())
+        hull = convex_hull(corners[(corners < 48).all(axis=1)].tolist())
+        np.testing.assert_array_equal(patch.mask, rasterize(hull, 48, 48))
         assert patch.mask.any() and not patch.mask.all()
         assert patch.mask.shape == (48, 48)
 
@@ -272,7 +294,8 @@ class TestDonorCorners:
         # pass over the crop alone lacks support
         cand = PatchCandidate(donor=0, x0=18, y0=18, width=20, height=20)
         (patch,) = build_patches([self.square_donor()], [cand])
-        assert patch.vertices == [(2.0, 2.0), (17.0, 2.0), (17.0, 17.0), (2.0, 17.0)]
+        square = [(2.0, 2.0), (17.0, 2.0), (17.0, 17.0), (2.0, 17.0)]
+        np.testing.assert_array_equal(patch.mask, rasterize(square, 20, 20))
         expected = np.zeros((20, 20), dtype=bool)
         expected[2:17, 2:17] = True
         np.testing.assert_array_equal(patch.mask, expected)
@@ -280,7 +303,7 @@ class TestDonorCorners:
     def test_crop_without_corners_keeps_rectangle(self):
         cand = PatchCandidate(donor=0, x0=40, y0=40, width=16, height=16)
         (patch,) = build_patches([self.square_donor()], [cand])
-        assert patch.vertices == [(0.0, 0.0), (16.0, 0.0), (16.0, 16.0), (0.0, 16.0)]
+        assert patch.mask.shape == (16, 16)
         assert patch.mask.all()
 
     def test_fewer_than_three_corners_skip_the_hull(self, monkeypatch):
@@ -294,8 +317,7 @@ class TestDonorCorners:
             PatchCandidate(donor=0, x0=40, y0=40, width=16, height=16),
         ]
         for cand, patch in zip(cands, build_patches([self.square_donor()], cands)):
-            w, h = float(cand.width), float(cand.height)
-            assert patch.vertices == [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
+            assert patch.mask.shape == (cand.height, cand.width)
             assert patch.mask.all()
 
 
@@ -309,12 +331,10 @@ class TestPaste:
         t = self.target()
         full = np.ones((32, 32), dtype=bool)
         p1 = PolygonPatch(
-            vertices=[(0.0, 0.0)] * 3,
             mask=full,
             texture=np.full((32, 32, 3), 10, dtype=np.uint8),
         )
         p2 = PolygonPatch(
-            vertices=[(0.0, 0.0)] * 3,
             mask=full,
             texture=np.full((32, 32, 3), 20, dtype=np.uint8),
         )
@@ -329,7 +349,6 @@ class TestPaste:
 
         t = self.target()
         big = PolygonPatch(
-            vertices=[(0.0, 0.0)] * 3,
             mask=np.ones((40, 40), dtype=bool),
             texture=np.zeros((40, 40, 3), dtype=np.uint8),
         )
@@ -344,7 +363,6 @@ class TestPaste:
 
         t = self.target()
         p = PolygonPatch(
-            vertices=[(0.0, 0.0)] * 3,
             mask=np.ones((8, 8), dtype=bool),
             texture=np.full((8, 8, 3), 99, dtype=np.uint8),
         )
@@ -375,7 +393,7 @@ class TestPaste:
             full = i % 2 == 0
             m = np.ones((h, w), dtype=bool) if full else rng.uniform(size=(h, w)) < 0.6
             texture = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-            patches.append(PolygonPatch(vertices=[(0.0, 0.0)] * 3, mask=m, texture=texture))
+            patches.append(PolygonPatch(mask=m, texture=texture))
         target = rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8)
         scene = paste_patches(target, patches, np.random.default_rng(5))
         img, mask, ids = masked_paste(target, patches, np.random.default_rng(5))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oodseg.synthworld
 from oodseg.tensorio import IGNORE
 from oodseg.synthworld import (
     NEIGHBORHOOD,
@@ -165,20 +166,22 @@ class TestFitFrozenDecoder:
     def test_deterministic(self):
         assert frozen_digest(tiny_model()) == frozen_digest(tiny_model())
 
-    def test_accuracy_on_fresh_scenes(self):
-        acc = decoder_accuracy(tiny_model(), SPEC, n_scenes=10)
+    def test_accuracy_on_fresh_scenes(self, monkeypatch):
+        monkeypatch.setattr(oodseg.synthworld, "ACCURACY_SCENES", 10)
+        acc = decoder_accuracy(tiny_model(), SPEC)
         assert acc > 0.9
 
-    def test_large_ridge_shrinks_weights(self):
-        small = fit_frozen_decoder(SPEC, feature_dim=8, n_scenes=5, ridge_lam=1e-2, seed=5)
-        big = fit_frozen_decoder(SPEC, feature_dim=8, n_scenes=5, ridge_lam=1e6, seed=5)
+    def test_large_ridge_shrinks_weights(self, monkeypatch):
+        small = fit_frozen_decoder(SPEC, feature_dim=8, n_scenes=5, seed=5)
+        monkeypatch.setattr(oodseg.synthworld, "RIDGE_LAMBDA", 1e6)
+        big = fit_frozen_decoder(SPEC, feature_dim=8, n_scenes=5, seed=5)
         assert np.abs(big.dec_w).max() < 1e-3 * np.abs(small.dec_w).max()
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            fit_frozen_decoder(SPEC, feature_dim=0)
+            fit_frozen_decoder(SPEC, feature_dim=0, n_scenes=1, seed=0)
         with pytest.raises(ValueError):
-            fit_frozen_decoder(SPEC, n_scenes=0)
+            fit_frozen_decoder(SPEC, feature_dim=8, n_scenes=0, seed=0)
 
 
 class TestFrozenPersistence:
@@ -263,9 +266,9 @@ class TestDatasetExport:
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            export_dataset(SPEC, n_train=1, n_eval=1, out_dir=tmp_path / "d1")
+            export_dataset(SPEC, n_train=1, n_eval=1, out_dir=tmp_path / "d1", seed=0)
         with pytest.raises(ValueError):
-            export_dataset(SPEC, n_train=2, n_eval=0, out_dir=tmp_path / "d2")
+            export_dataset(SPEC, n_train=2, n_eval=0, out_dir=tmp_path / "d2", seed=0)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ArtifactError):
