@@ -46,15 +46,16 @@ def tae_log_prob_map(head_logits: np.ndarray) -> np.ndarray:
     return h[1] - _logsumexp0(h)
 
 
-def tore_residual_map(head_logits: np.ndarray, seg_logits: np.ndarray) -> np.ndarray:
+def tore_residual_map(head_logits: np.ndarray, jem: np.ndarray) -> np.ndarray:
+    """head[1] + jem, from the free-energy map ``jem`` of the seg logits."""
     h = np.asarray(head_logits, dtype=np.float64)
     if h.shape[0] != 2:
         raise ValueError(f"head logits must have 2 channels, got {h.shape}")
-    return h[1] + jem_map(seg_logits)
+    return h[1] + jem
 
 
-def combined_map(head_logits: np.ndarray, seg_logits: np.ndarray, lam: float = 0.5) -> np.ndarray:
-    return tae_log_prob_map(head_logits) + lam * tore_residual_map(head_logits, seg_logits)
+def combined_map(head_logits: np.ndarray, jem: np.ndarray, lam: float) -> np.ndarray:
+    return tae_log_prob_map(head_logits) + lam * tore_residual_map(head_logits, jem)
 
 
 def _softmax0(x: np.ndarray) -> np.ndarray:
@@ -76,20 +77,20 @@ def max_logit_map(seg_logits: np.ndarray) -> np.ndarray:
     return -np.max(np.asarray(seg_logits, dtype=np.float64), axis=0)
 
 
-# scorer -> map from (head logits, seg logits, lam); head logits are None for
-# scorers outside HEAD_SCORERS.  The entries look map functions up at call
-# time, so a rebound module attribute reaches every caller.
+# scorer -> map from (head logits, seg logits, their free energy, lam); head
+# logits are None for scorers outside HEAD_SCORERS.  The entries look map
+# functions up at call time, so a rebound module attribute reaches every caller.
 _HEAD_MAPS = {
-    "combined": lambda hl, seg, lam: combined_map(hl, seg, lam),
-    "tae": lambda hl, seg, lam: tae_log_prob_map(hl),
-    "tore": lambda hl, seg, lam: tore_residual_map(hl, seg),
+    "combined": lambda hl, seg, jem, lam: combined_map(hl, jem, lam),
+    "tae": lambda hl, seg, jem, lam: tae_log_prob_map(hl),
+    "tore": lambda hl, seg, jem, lam: tore_residual_map(hl, jem),
 }
 _SCORER_MAPS = {
     **_HEAD_MAPS,
-    "jem": lambda hl, seg, lam: jem_map(seg),
-    "msp": lambda hl, seg, lam: msp_map(seg),
-    "entropy": lambda hl, seg, lam: entropy_map(seg),
-    "max_logit": lambda hl, seg, lam: max_logit_map(seg),
+    "jem": lambda hl, seg, jem, lam: jem,
+    "msp": lambda hl, seg, jem, lam: msp_map(seg),
+    "entropy": lambda hl, seg, jem, lam: entropy_map(seg),
+    "max_logit": lambda hl, seg, jem, lam: max_logit_map(seg),
 }
 SCORERS = tuple(_SCORER_MAPS)
 HEAD_SCORERS = tuple(_HEAD_MAPS)  # need head logits as well as seg logits
@@ -99,26 +100,24 @@ def all_score_maps(
     head: HeadParams | None,
     features: np.ndarray,
     seg_logits: np.ndarray,
-    lam: float = 0.5,
+    lam: float,
 ) -> dict[str, np.ndarray]:
-    """Every scorer's map from one head forward; head-based maps need ``head``."""
+    """Every scorer's map in ``SCORERS`` order, from one head forward and one jem map; head maps need ``head``."""
     hl = head_forward(head, features, mode="eval")[0] if head is not None else None
-    out = {
-        name: fn(hl, seg_logits, lam)
+    jem = jem_map(seg_logits)
+    return {
+        name: fn(hl, seg_logits, jem, lam)
         for name, fn in _SCORER_MAPS.items()
-        if name != "combined" and (hl is not None or name not in HEAD_SCORERS)
+        if hl is not None or name not in HEAD_SCORERS
     }
-    if hl is not None:  # combined_map's sum, reusing the tae and tore maps
-        out["combined"] = out["tae"] + lam * out["tore"]
-    return out
 
 
 def score_map(
     head: HeadParams | None,
     features: np.ndarray,
     seg_logits: np.ndarray,
-    lam: float = 0.5,
-    scorer: str = "combined",
+    lam: float,
+    scorer: str,
 ) -> np.ndarray:
     """[H, W] score map for one scorer; eval-mode head, frozen inputs."""
     if scorer not in SCORERS:
@@ -133,7 +132,7 @@ def score_map(
         hl, _ = head_forward(head, features, mode="eval")
         if hl.shape[1:] != seg.shape[1:]:
             raise ValueError(f"head/seg spatial mismatch: {hl.shape} vs {seg.shape}")
-    return _SCORER_MAPS[scorer](hl, seg, lam)
+    return _SCORER_MAPS[scorer](hl, seg, jem_map(seg), lam)
 
 
 def save_score_map(path: str | Path, values: np.ndarray, scorer: str, lam: float) -> None:

@@ -33,17 +33,18 @@ weights must not change between a forward and its backward.  For the
 desk head on 64x64 float32 features a cache holds 1.3 MB; keeping block
 0's ``z`` too took 1.8 MB, and the ReLU outputs as well 3.4 MB.
 
-Convolutions with kernels above 1x1 take their scratch memory from a
-``Workspace``: the zero-padded input and the [C*k*k, H*W] columns in
-both passes, and in the backward the column gradient ``w.T @ dz`` and
-the col2im accumulator.  The columns and their gradient share one
-buffer, the padded input and the accumulator another: each pair's first
-array is spent before its second is written.  A training run owns one
-workspace (``trainer.train`` makes it and hands it to every train-mode
-forward); each cache keeps a reference, so the backward reuses the same
-memory across slots and iterations.  A forward given none makes its own,
-and an eval-mode call shares one across its bands.  1x1 convolutions
-read their input in place and take nothing from a workspace.
+Convolutions with kernels above 1x1 take their scratch memory from the
+head's own ``Workspace`` (``HeadParams.workspace``): the zero-padded input
+and the [C*k*k, H*W] columns in both passes, and in the backward the
+column gradient ``w.T @ dz`` and the col2im accumulator.  The columns and
+their gradient share one buffer, the padded input and the accumulator
+another: each pair's first array is spent before its second is written.
+Every forward and backward of a head, in either mode, reuses that
+memory: across a training run's slots and iterations, and across eval
+bands and images.  Nothing in a workspace outlives the call that wrote
+it, so the calls may interleave in any order, but two threads must not
+run calls of one head at once.  1x1 convolutions read their input in
+place and take nothing from a workspace.
 
 Eval mode folds batchnorm into the weights once per call, then walks the
 map in row bands of about ``TILE_PIXELS`` pixels, each with a halo of
@@ -64,7 +65,7 @@ rejects a head that does not match the given frozen digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -115,12 +116,31 @@ class BlockParams:
     run_var: np.ndarray   # [out]
 
 
+class Workspace:
+    """Reusable scratch memory for the k > 1 convolutions (module docstring):
+    one grow-only byte buffer per role, handed out as an uninitialised array
+    of the asked shape and dtype.  Each ``take`` of a role overwrites what
+    the last one of that role handed out."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = dtype.itemsize * int(np.prod(shape))
+        flat = self._flat.get(role)
+        if flat is None or flat.size < nbytes:
+            flat = self._flat[role] = np.empty(nbytes, np.uint8)
+        return flat[:nbytes].view(dtype).reshape(shape)
+
+
 @dataclass
 class HeadParams:
     config: HeadConfig
     blocks: list[BlockParams]
     out_w: np.ndarray  # [2, hidden]
     out_b: np.ndarray  # [2]
+    workspace: Workspace = field(default_factory=Workspace, repr=False, compare=False)  # k > 1 scratch
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         """Every stored array by leaf name, in ``_shapes`` order."""
@@ -160,24 +180,6 @@ def head_init(cfg: HeadConfig, seed: int) -> HeadParams:
         else:
             arrays[name] = (np.ones if name.endswith(("gamma", "run_var")) else np.zeros)(shape)
     return _assemble(cfg, arrays)
-
-
-class Workspace:
-    """Reusable scratch memory for the k > 1 convolutions (module docstring):
-    one grow-only byte buffer per role, handed out as an uninitialised array
-    of the asked shape and dtype.  Each ``take`` of a role overwrites what
-    the last one of that role handed out."""
-
-    def __init__(self):
-        self._flat: dict[str, np.ndarray] = {}
-
-    def take(self, role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        nbytes = dtype.itemsize * int(np.prod(shape))
-        flat = self._flat.get(role)
-        if flat is None or flat.size < nbytes:
-            flat = self._flat[role] = np.empty(nbytes, np.uint8)
-        return flat[:nbytes].view(dtype).reshape(shape)
 
 
 def _cols(x: np.ndarray, k: int, ws: Workspace) -> np.ndarray:
@@ -264,20 +266,17 @@ def _relu(z: np.ndarray, bc: _BlockCache, out: np.ndarray | None = None) -> np.n
 class HeadCache:
     params: HeadParams
     blocks: list[_BlockCache]
-    workspace: Workspace  # scratch memory of the k > 1 convolutions, shared with the forward
 
 
-def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval", *,
-                 workspace: Workspace | None = None):
+def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval"):
     """Run the head over [D, H, W] features; returns (logits [2, H, W], cache).
 
     Train mode normalizes with this map's own spatial statistics and
     returns the cache needed by ``head_backward``, which also carries those
     statistics for ``commit_batch_stats``; the running statistics are left
-    untouched.  Its k > 1 convolutions use ``workspace``, which the cache
-    keeps for the backward (a fresh one when None).  Eval mode uses
-    running statistics, runs over row bands (``_eval_bands``) and returns
-    None for the cache.
+    untouched.  Eval mode uses running statistics, runs over row bands
+    (``_eval_bands``) and returns None for the cache.  Both modes take
+    their k > 1 scratch memory from ``params.workspace``.
 
     Logits come back in the precision of the computation (see the module
     docstring).
@@ -293,10 +292,9 @@ def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval", *
     if mode == "eval":
         return _eval_bands(params, x), None
     h, w = x.shape[1:]
-    ws = workspace if workspace is not None else Workspace()
     caches: list[_BlockCache] = []
     for blk in params.blocks:
-        z, mean = _centred_conv(blk, x, cfg.kernel_size, ws)
+        z, mean = _centred_conv(blk, x, cfg.kernel_size, params.workspace)
         var = _row_dots(z, z) / z.shape[1]
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         first = not caches  # block 0 keeps the features, not z: its ReLU output overwrites z
@@ -306,7 +304,7 @@ def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval", *
         x = _relu(z, bc, out=z if first else None).reshape(-1, h, w)
     logits = params.out_w.astype(dtype) @ x.reshape(x.shape[0], -1)
     logits += params.out_b.astype(dtype)[:, None]
-    return logits.reshape(OUT_CHANNELS, h, w), HeadCache(params=params, blocks=caches, workspace=ws)
+    return logits.reshape(OUT_CHANNELS, h, w), HeadCache(params=params, blocks=caches)
 
 
 def _eval_bands(params: HeadParams, x: np.ndarray) -> np.ndarray:
@@ -322,14 +320,13 @@ def _eval_bands(params: HeadParams, x: np.ndarray) -> np.ndarray:
     out_w = params.out_w.astype(dtype)
     halo = len(folded) * (k // 2)  # rows the blocks' 'same' padding spoils at a band edge
     rows = max(1, TILE_PIXELS // max(w, 1), BAND_HALOS * halo)
-    ws = Workspace()
     logits = np.empty((OUT_CHANNELS, h, w), dtype=dtype)
     for top in range(0, h, rows):
         bottom = min(top + rows, h)
         lo, hi = max(top - halo, 0), min(bottom + halo, h)
         a = x[:, lo:hi]
         for w2, bias in folded:
-            a = w2 @ _cols(a, k, ws)
+            a = w2 @ _cols(a, k, params.workspace)
             a += bias
             a = np.maximum(a, 0.0, out=a).reshape(-1, hi - lo, w)
         band = a[:, top - lo : bottom - lo].reshape(a.shape[0], -1)
@@ -365,7 +362,7 @@ def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray)
     g = np.asarray(grad_logits)
     if g.shape != (OUT_CHANNELS,) + hw:
         raise ValueError(f"grad shape {g.shape} does not match logits")
-    b0, k, ws = cache.blocks[0], params.config.kernel_size, cache.workspace
+    b0, k, ws = cache.blocks[0], params.config.kernel_size, params.workspace
     dtype = b0.x_in.dtype
     g2 = g.reshape(OUT_CHANNELS, -1).astype(dtype, copy=False)
     zs = [_centred_conv(params.blocks[0], b0.x_in, k, ws, b0.mean)[0]] + [bc.z for bc in cache.blocks[1:]]

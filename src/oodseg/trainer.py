@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import HEAD_SCORERS, SCORERS, all_score_maps, combined_map, jem_map
+# SCORERS is unused here, but bench/workloads.py reads it as trainer.SCORERS
+from .estimators import SCORERS, all_score_maps, combined_map, jem_map  # noqa: F401
 from .head import (
     HeadConfig,
     HeadParams,
-    Workspace,
     commit_batch_stats,
     head_backward,
     head_forward,
@@ -131,7 +131,6 @@ def _prepare_example(
     cfg: TrainConfig,
     iteration: int,
     slot: int,
-    workspace: Workspace,
 ):
     """Steps per batch slot: paste, encode, train-mode forward, score, partition.
 
@@ -142,7 +141,6 @@ def _prepare_example(
     returned cache carries the batch statistics for ``commit_batch_stats``.
     ``corners`` runs parallel to ``images`` (``donor_corners`` of each);
     the target leaves both lists, so every donor keeps its own corners.
-    The forward takes its scratch memory from the run's ``workspace``.
     Returns ((logits, jem, partition), cache).
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(iteration, slot)))
@@ -154,9 +152,9 @@ def _prepare_example(
     seg = seg_logits_map(frozen, feats)
     jem = jem_map(seg)
     # the head trains in float32
-    logits, cache = head_forward(head, feats.astype(np.float32), mode="train", workspace=workspace)
+    logits, cache = head_forward(head, feats.astype(np.float32), mode="train")
     logits = logits.astype(np.float64)
-    score = jem if iteration < cfg.warmup_iters else combined_map(logits, seg, cfg.lam)
+    score = jem if iteration < cfg.warmup_iters else combined_map(logits, jem, cfg.lam)
     if not np.isfinite(score).all():
         raise TrainingDivergedError(f"iteration {iteration}: refinement score is not finite")
     part = refine_partition(
@@ -178,7 +176,6 @@ def _step(
     cfg: TrainConfig,
     iteration: int,
     slots: list,
-    workspace: Workspace,
 ) -> tuple[float, float, int, int, float]:
     """One training iteration; returns (l_a, l_o, n_ood, n_ignored, eta).
 
@@ -188,12 +185,12 @@ def _step(
     allocator hands a released cache's memory to the next slot.  A desk
     cache (64x64 scene, 16 features, 3 blocks of 32) holds 1.3 MB: the
     float32 features and one [32, 4096] float32 array per block after the
-    first.  The caches share the run's ``workspace``.  Releasing
-    every cache at the end of the iteration instead returns their memory
-    to the system, and the next iteration faults it back in page by page.
+    first; the k > 1 scratch memory is the head's own.  Releasing every
+    cache at the end of the iteration instead returns their memory to the
+    system, and the next iteration faults it back in page by page.
     """
     for s in range(cfg.batch_size):
-        slots[s] = _prepare_example(images, corners, frozen, head, cfg, iteration, s, workspace)
+        slots[s] = _prepare_example(images, corners, frozen, head, cfg, iteration, s)
     items = [item for item, _ in slots]
     parts = [part for _, _, part in items]
     total, l_a, l_o, grads = batch_total_loss(items, cfg.gamma, cfg.w_a, cfg.w_o, cfg.margin)
@@ -241,14 +238,13 @@ def train(
     # one Harris pass per training image, keyed by its index in train_images
     corners = [donor_corners(image) for image in train_images]
     slots = [None] * cfg.batch_size
-    workspace = Workspace()  # the im2col buffers of every k > 1 forward and backward of the run
     for it in range(cfg.iterations):
         tic = time.perf_counter()
         try:
             # a diverging head overflows float32 first; the explicit score and
             # loss checks in _step report that, naming the iteration
             with np.errstate(over="ignore", invalid="ignore"):
-                stats = _step(train_images, corners, frozen, head, adam, cfg, it, slots, workspace)
+                stats = _step(train_images, corners, frozen, head, adam, cfg, it, slots)
         except (EmptyPastedRegionError, DegeneratePartitionError):
             log.aborted += 1
             continue
@@ -266,7 +262,7 @@ def evaluate(
     head: HeadParams | None,
     frozen: FrozenModel,
     eval_set: list[tuple[np.ndarray, np.ndarray]],
-    lam: float = 0.5,
+    lam: float,
 ) -> dict[str, EvalResult]:
     """Pool every non-IGNORE pixel across the eval set and score each scorer.
 
@@ -276,7 +272,7 @@ def evaluate(
     """
     if not eval_set:
         raise ValueError("eval set is empty")
-    pooled: dict[str, list[np.ndarray]] = {name: [] for name in SCORERS}
+    pooled: dict[str, list[np.ndarray]] = {}
     labels = []
     for image, gt in eval_set:
         gt = np.asarray(gt)
@@ -290,10 +286,9 @@ def evaluate(
         valid = gt != IGNORE
         labels.append(gt[valid].astype(np.int64))
         for name, values in maps.items():
-            pooled[name].append(values[valid])
+            pooled.setdefault(name, []).append(values[valid])
     y = np.concatenate(labels)
-    order = [s for s in SCORERS if head is not None or s not in HEAD_SCORERS]
-    return {name: evaluate_scores(np.concatenate(pooled[name]), y) for name in order}
+    return {name: evaluate_scores(np.concatenate(parts), y) for name, parts in pooled.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,23 @@ ones, so that neither side always runs first.  The ops:
 * ``paste-heavy``: the same loop with 40 patches, per-region refinement
   and batch 4;
 * ``score``: one ``score --heatmap`` request through the CLI per eval image;
-* ``eval``: one ``eval`` request through the CLI over the whole eval split.
+* ``eval``: one ``eval`` request through the CLI over the whole eval split;
+* ``eval-3x3``: the same with a 3x3 head, whose eval bands take their
+  im2col buffers from the head's workspace across images.
 
 Pair ``i`` trains with seed ``i``.  The inputs are one world built on disk
-by side A's CLI (``gen-data`` and ``fit-frozen`` at their defaults, and a
-10-iteration head for ``score`` and ``eval``), which each side reads with
-its own loaders.  Every pair checks that both sides return equal bytes: the
-head's tensors and the log's fields but its wall-time column, the score map
-and heatmap files, or ``eval.csv``.  A difference stops the run.
+by side A's CLI (``gen-data`` and ``fit-frozen`` at their defaults, and
+10-iteration 1x1 and 3x3 heads for ``score`` and the ``eval`` ops), which
+each side reads with its own loaders.  Every pair checks that both sides
+return equal bytes: the head's tensors and the log's fields but its
+wall-time column, the score map and heatmap files, or ``eval.csv``.  A
+difference stops the run.
 
 Per op it prints each side's median CPU ms per iteration (per request for
-``score`` and ``eval``), the median of the paired differences B - A with a
-bootstrap 95% interval of that median (Kalibera & Jones, ISMM 2013), the
-pairs B won, and each side's ``tracemalloc`` peak over one more untimed op.
+``score`` and the ``eval`` ops), the median of the paired differences
+B - A with a bootstrap 95% interval of that median (Kalibera & Jones, ISMM
+2013), the pairs B won, and each side's ``tracemalloc`` peak over one more
+untimed op.
 Both sides share one allocator, so peak RSS stays a separate-process
 metric.  An A/A run, the same tree on both sides, should give intervals
 that hold zero.
@@ -62,7 +66,8 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
-OPS = ("desk-1x1", "desk-3x3", "paste-heavy", "score", "eval")
+OPS = ("desk-1x1", "desk-3x3", "paste-heavy", "score", "eval", "eval-3x3")
+REQUESTS = ("score", "eval", "eval-3x3")  # the ops that run CLI requests, not a training
 SCORE_HEAD_ITERS = 10
 BOOTSTRAP = 10_000
 
@@ -101,11 +106,14 @@ def cli(side, argv: list[str]) -> None:
 
 def build_world(side, root: Path) -> dict:
     """The on-disk world every op reads, written by ``side``'s CLI."""
-    world = {"data": root / "data", "frozen": root / "frozen", "head": root / "train" / "head"}
+    world = {"data": root / "data", "frozen": root / "frozen"}
     cli(side, ["gen-data", "--out", str(world["data"])])
     cli(side, ["fit-frozen", "--out", str(world["frozen"])])
-    cli(side, ["train", "--data", str(world["data"]), "--frozen", str(world["frozen"]), "--out", str(root / "train"),
-               "--set", f"train.iterations={SCORE_HEAD_ITERS}", "--set", "train.warmup_iters=1"])
+    for k in (1, 3):
+        cli(side, ["train", "--data", str(world["data"]), "--frozen", str(world["frozen"]),
+                   "--out", str(root / f"train{k}"), "--set", f"train.iterations={SCORE_HEAD_ITERS}",
+                   "--set", "train.warmup_iters=1", "--set", f"head.kernel_size={k}"])
+        world[f"head{k}"] = root / f"train{k}" / "head"
     world["images"] = sorted((world["data"] / "eval").glob("scene_*.ppm"))
     return world
 
@@ -115,8 +123,8 @@ class Op:
 
     def __init__(self, op: str, side, world: dict, iters: int, out: Path):
         self.op, self.side, self.world, self.iters, self.out = op, side, world, iters, out
-        self.units = {"score": len(world["images"]), "eval": 1}.get(op, iters)
-        if op not in ("score", "eval"):
+        self.units = {"score": len(world["images"]), "eval": 1, "eval-3x3": 1}.get(op, iters)
+        if op not in REQUESTS:
             self.images = side.synthworld.load_train_images(world["data"])
             self.frozen = side.synthworld.load_frozen(world["frozen"])
 
@@ -124,7 +132,7 @@ class Op:
         tic = time.process_time()
         if self.op == "score":
             result = self._score()
-        elif self.op == "eval":
+        elif self.op in REQUESTS:
             result = self._eval()
         else:
             result = self._train(pair)
@@ -143,14 +151,15 @@ class Op:
         got = []
         for image in self.world["images"]:
             tnsr, pgm = self.out / "map.tnsr", self.out / "map.pgm"
-            cli(self.side, ["score", "--head", str(self.world["head"]), "--frozen", str(self.world["frozen"]),
+            cli(self.side, ["score", "--head", str(self.world["head1"]), "--frozen", str(self.world["frozen"]),
                             "--image", str(image), "--out", str(tnsr), "--heatmap", str(pgm)])
             got.append(tnsr.read_bytes() + pgm.read_bytes())
         return b"".join(got)
 
     def _eval(self) -> bytes:
         out = self.out / "eval"
-        cli(self.side, ["eval", "--head", str(self.world["head"]), "--frozen", str(self.world["frozen"]),
+        head = self.world["head3" if self.op == "eval-3x3" else "head1"]
+        cli(self.side, ["eval", "--head", str(head), "--frozen", str(self.world["frozen"]),
                         "--data", str(self.world["data"]), "--out", str(out)])
         return (out / "eval.csv").read_bytes()
 

@@ -58,7 +58,7 @@ TRAIN_VARIANTS = {
     "polygons": [],
     # 3x3 kernels take the im2col path (_cols/_input_grad) that 1x1 kernels skip
     "kernel3": ["--set", "head.kernel_size=3"],
-    # a second 3x3 shape through the run's workspace: 16-channel columns in
+    # a second 3x3 shape through the head's workspace: 16-channel columns in
     # every block, so block 0's im2col buffers are no smaller than the rest
     "kernel3_hidden16": ["--set", "head.kernel_size=3", "--set", "head.hidden=16"],
     # one block: the backward recomputes only the last block's ReLU output

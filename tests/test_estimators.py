@@ -52,15 +52,15 @@ class TestFrozenValues:
         assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
 
     def test_tore_is_head1_plus_jem(self):
-        v = at(tore_residual_map(px([1.0, 3.0]), px([1.0, 2.0, 3.0])))
+        v = at(tore_residual_map(px([1.0, 3.0]), jem_map(px([1.0, 2.0, 3.0]))))
         assert v == pytest.approx(3.0 + at(jem_map(px([1.0, 2.0, 3.0]))), abs=1e-15)
         assert v == pytest.approx(-0.4076059644443806, abs=1e-14)
 
     def test_combined_weighting(self):
-        v = at(combined_map(px([1.0, 3.0]), px([1.0, 2.0, 3.0]), lam=0.5))
+        v = at(combined_map(px([1.0, 3.0]), jem_map(px([1.0, 2.0, 3.0])), lam=0.5))
         assert v == pytest.approx(-0.330730993265163, abs=1e-14)
         # all-zero logits collapse to -1.5 log 2
-        assert at(combined_map(px([0.0, 0.0]), px([0.0, 0.0]), 0.5)) == pytest.approx(
+        assert at(combined_map(px([0.0, 0.0]), jem_map(px([0.0, 0.0])), 0.5)) == pytest.approx(
             -1.5 * math.log(2.0), abs=1e-15
         )
 
@@ -108,15 +108,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             tae_log_prob_map(np.zeros((3, 2, 2)))
         with pytest.raises(ValueError):
-            tore_residual_map(np.zeros((3, 2, 2)), np.zeros((4, 2, 2)))
+            tore_residual_map(np.zeros((3, 2, 2)), np.zeros((2, 2)))
 
     def test_score_map_unknown_scorer(self):
         with pytest.raises(ValueError):
-            score_map(None, None, np.zeros((3, 2, 2)), scorer="nope")
+            score_map(None, None, np.zeros((3, 2, 2)), 0.5, "nope")
 
     def test_head_scorer_without_head(self):
         with pytest.raises(ValueError):
-            score_map(None, None, np.zeros((3, 2, 2)), scorer="combined")
+            score_map(None, None, np.zeros((3, 2, 2)), 0.5, "combined")
 
 
 class TestWithHead:
@@ -128,11 +128,11 @@ class TestWithHead:
         return head, feats, seg
 
     def test_all_score_maps_keys(self):
+        # in SCORERS order, which evaluate and eval.csv keep
         head, feats, seg = self._setup()
-        maps = all_score_maps(head, feats, seg)
-        assert set(maps) == set(SCORERS)
-        headless = all_score_maps(None, feats, seg)
-        assert set(headless) == set(SCORERS) - set(HEAD_SCORERS)
+        assert list(all_score_maps(head, feats, seg, 0.5)) == list(SCORERS)
+        headless = all_score_maps(None, feats, seg, 0.5)
+        assert list(headless) == [s for s in SCORERS if s not in HEAD_SCORERS]
 
     def test_all_score_maps_matches_score_map(self):
         head, feats, seg = self._setup()
@@ -140,12 +140,12 @@ class TestWithHead:
         for scorer in SCORERS:
             single = score_map(head, feats, seg, lam=0.3, scorer=scorer)
             assert single.shape == (6, 6)
-            np.testing.assert_allclose(single, maps[scorer], atol=1e-12)
+            np.testing.assert_array_equal(single, maps[scorer])  # one formula per scorer
 
     def test_eval_forward_is_pure(self):
         head, feats, seg = self._setup()
         before = [blk.run_mean.copy() for blk in head.blocks]
-        all_score_maps(head, feats, seg)
+        all_score_maps(head, feats, seg, 0.5)
         for blk, rm in zip(head.blocks, before):
             np.testing.assert_array_equal(blk.run_mean, rm)
 

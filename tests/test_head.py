@@ -19,7 +19,6 @@ from oodseg.head import (
     BAND_HALOS,
     TILE_PIXELS,
     HeadConfig,
-    Workspace,
     commit_batch_stats,
     HeadShapeError,
     head_backward,
@@ -342,6 +341,18 @@ class TestEvalBands:
         assert bands.dtype == np.float32
         np.testing.assert_allclose(bands, full, rtol=0, atol=1e-5 * np.max(np.abs(full)))
 
+    def test_kernel3_reuses_the_head_workspace(self):
+        # a second eval forward of the same shape takes its im2col buffers
+        # from the head's workspace, the same arrays the first one grew
+        params = trained_like(HeadConfig(feature_dim=16, kernel_size=3), 0)
+        x = np.random.default_rng(1).standard_normal((16, 40, 64))
+        first = head_forward(params, x, mode="eval")[0]
+        buffers = dict(params.workspace._flat)
+        assert set(buffers) == {"pad", "cols"}
+        second = head_forward(params, x, mode="eval")[0]
+        assert all(params.workspace._flat[role] is buf for role, buf in buffers.items())
+        assert second.tobytes() == first.tobytes()
+
 
 class TestBackward:
     def test_gradcheck_default_blocks(self):
@@ -452,22 +463,26 @@ class TestBackward:
         assert cache.blocks[0].x_in.shape == (cfg.feature_dim, h, w)
         bound = (cfg.feature_dim + (cfg.blocks - 1) * cfg.hidden) * h * w * 4 + 64 * 1024
         assert retained <= bound, f"train cache retains {retained} bytes, bound {bound}"
-        assert not cache.workspace._flat, "a 1x1 head takes no workspace memory"
+        assert not params.workspace._flat, "a 1x1 head takes no workspace memory"
 
     def test_shared_workspace_keeps_kernel3_gradients(self):
-        # caches of one run share a workspace: backwards of other caches in
-        # between, one of another map shape, leave a backward's bytes as a
-        # private workspace gives them, and no gradient is workspace memory
-        params = head_init(HeadConfig(feature_dim=4, blocks=3, hidden=6, kernel_size=3), seed=5)
+        # every call of a head shares its workspace: backwards of other
+        # caches in between, one of another map shape, and a larger float64
+        # eval forward between the train forwards and their backwards leave
+        # a backward's bytes as a fresh head gives them, and no gradient is
+        # workspace memory
+        cfg = HeadConfig(feature_dim=4, blocks=3, hidden=6, kernel_size=3)
+        params = head_init(cfg, seed=5)
         rng = np.random.default_rng(6)
         maps = [rng.standard_normal((4,) + hw).astype(np.float32) for hw in ((9, 11), (9, 11), (6, 13))]
         grads = [rng.standard_normal((2,) + x.shape[1:]) for x in maps]
-        logits, private = head_forward(params, maps[0], mode="train")
-        expect = head_backward(params, private, grads[0])
-        ws = Workspace()
-        caches = [head_forward(params, x, "train", workspace=ws)[1] for x in maps]
+        fresh = head_init(cfg, seed=5)
+        expect = head_backward(fresh, head_forward(fresh, maps[0], mode="train")[1], grads[0])
+        caches = [head_forward(params, x, "train")[1] for x in maps]
+        head_forward(params, rng.standard_normal((4, 12, 15)), mode="eval")
         runs = [head_backward(params, cache, g) for cache, g in zip(caches, grads)]
         runs.append(head_backward(params, caches[0], grads[0]))
+        ws = params.workspace
         assert ws._flat
         for got in (runs[0], runs[-1]):
             assert set(got) == set(expect)

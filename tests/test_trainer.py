@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from oodseg.estimators import SCORERS
+from oodseg.estimators import SCORERS, jem_map
 from oodseg.head import HeadConfig, head_init
+import oodseg.estimators
 import oodseg.head
 import oodseg.trainer
 from oodseg.losses import DegeneratePartitionError, batch_total_loss
@@ -57,6 +58,20 @@ def full_crops(monkeypatch):
     monkeypatch.setattr(oodseg.patches, "MIN_SIDE", 32)
     monkeypatch.setattr(oodseg.patches, "CROP_MAX_DIV", 1)
     monkeypatch.setattr(oodseg.patches, "HARRIS_THRESH_FRAC", 2.0)
+
+
+def count_jem_maps(monkeypatch) -> list:
+    """Wrap ``jem_map`` where the trainer and the estimators call it; the
+    returned list grows by one entry per call."""
+    calls = []
+
+    def counting(seg_logits):
+        calls.append(np.shape(seg_logits))
+        return jem_map(seg_logits)
+
+    monkeypatch.setattr(oodseg.estimators, "jem_map", counting)
+    monkeypatch.setattr(oodseg.trainer, "jem_map", counting)
+    return calls
 
 
 def tiny_cfg(**kwargs):
@@ -269,6 +284,15 @@ class TestTrain:
         _, log = train(images, frozen, tiny_cfg(iterations=3, warmup_iters=0), head_config=HEAD_CFG)
         assert log.aborted == len(raised) == 3
 
+    def test_one_free_energy_map_per_slot(self, frozen, images, monkeypatch):
+        # the warmup score and, after warmup, the combined score read the
+        # slot's one jem map
+        calls = count_jem_maps(monkeypatch)
+        cfg = tiny_cfg(iterations=2, warmup_iters=1)
+        _, log = train(images, frozen, cfg, head_config=HEAD_CFG)
+        assert log.aborted == 0
+        assert len(calls) == cfg.iterations * cfg.batch_size
+
     @pytest.mark.parametrize("per_region", [False, True])
     def test_refine_mode_none_keeps_every_pasted_pixel(self, frozen, images, per_region):
         cfg = tiny_cfg(refine_mode="none", per_region=per_region)
@@ -281,18 +305,24 @@ class TestTrain:
 
 class TestEvaluate:
     def test_headless_reports_baselines_only(self, frozen, eval_set):
-        results = evaluate(None, frozen, eval_set)
+        results = evaluate(None, frozen, eval_set, 0.5)
         assert list(results) == ["jem", "msp", "entropy", "max_logit"]
 
     def test_with_head_reports_all_scorers_in_order(self, frozen, eval_set):
         head = head_init(HEAD_CFG, seed=3)
-        results = evaluate(head, frozen, eval_set)
+        results = evaluate(head, frozen, eval_set, 0.5)
         assert list(results) == list(SCORERS)
         n_pos = sum(int((gt == 1).sum()) for _, gt in eval_set)
         n_neg = sum(int((gt == 0).sum()) for _, gt in eval_set)
         for r in results.values():
             assert r.n_pos == n_pos and r.n_neg == n_neg
             assert 0.0 <= r.auroc <= 1.0
+
+    def test_one_free_energy_map_per_image(self, frozen, eval_set, monkeypatch):
+        # the jem, tore and combined scores all read the image's one jem map
+        calls = count_jem_maps(monkeypatch)
+        evaluate(head_init(HEAD_CFG, seed=3), frozen, eval_set, 0.5)
+        assert len(calls) == len(eval_set)
 
     def test_ignore_pixels_are_excluded(self, frozen, eval_set):
         from oodseg.estimators import jem_map
@@ -302,7 +332,7 @@ class TestEvaluate:
         img, gt = eval_set[0]
         gt = gt.copy()
         gt[:4, :] = IGNORE
-        results = evaluate(None, frozen, [(img, gt)])
+        results = evaluate(None, frozen, [(img, gt)], 0.5)
         seg = seg_logits_map(frozen, frozen_encoder(frozen, img))
         valid = gt != IGNORE
         expect = evaluate_scores(jem_map(seg)[valid], gt[valid].astype(np.int64))
@@ -312,14 +342,14 @@ class TestEvaluate:
 
     def test_validation(self, frozen, eval_set):
         with pytest.raises(ValueError):
-            evaluate(None, frozen, [])
+            evaluate(None, frozen, [], 0.5)
         img, gt = eval_set[0]
         with pytest.raises(ValueError):
-            evaluate(None, frozen, [(img, gt[:-1])])
+            evaluate(None, frozen, [(img, gt[:-1])], 0.5)
         bad = gt.copy()
         bad[0, 0] = 2
         with pytest.raises(ValueError):
-            evaluate(None, frozen, [(img, bad)])
+            evaluate(None, frozen, [(img, bad)], 0.5)
 
 
 class TestCsvEmission:
@@ -339,7 +369,7 @@ class TestCsvEmission:
         assert float(row[1]) == rec.l_a and float(row[5]) == rec.eta
 
     def test_eval_schema(self, frozen, eval_set, tmp_path):
-        results = evaluate(None, frozen, eval_set)
+        results = evaluate(None, frozen, eval_set, 0.5)
         path = tmp_path / "eval.csv"
         write_eval_csv(results, path)
         lines = path.read_text().splitlines()
