@@ -33,13 +33,13 @@ weights must not change between a forward and its backward.  For the
 desk head on 64x64 float32 features a cache holds 1.3 MB; keeping block
 0's ``z`` too took 1.8 MB, and the ReLU outputs as well 3.4 MB.
 
-Convolutions with kernels above 1x1 take their scratch memory from the
-head's own ``Workspace`` (``HeadParams.workspace``): the zero-padded input
-and the [C*k*k, H*W] columns in both passes, and in the backward the
-column gradient ``w.T @ dz`` and the col2im accumulator.  The columns and
-their gradient share one buffer, the padded input and the accumulator
-another: each pair's first array is spent before its second is written.
-Every forward and backward of a head, in either mode, reuses that
+Convolutions with kernels above 1x1 take their scratch memory, the
+zero-padded input and its [C*k*k, H*W] columns, from the head's own
+``Workspace`` (``HeadParams.workspace``).  ``_cols`` builds the columns of
+every convolution: the forward's, the eval bands', the weight gradient's
+and the input gradient's, which is a 'same' convolution of the conv output
+gradient by the kernel flipped in both spatial axes with its channel axes
+swapped.  Every forward and backward of a head, in either mode, reuses that
 memory: across a training run's slots and iterations, and across eval
 bands and images.  Nothing in a workspace outlives the call that wrote
 it, so the calls may interleave in any order, but two threads must not
@@ -200,23 +200,6 @@ def _cols(x: np.ndarray, k: int, ws: Workspace) -> np.ndarray:
     cols = ws.take("cols", (c * k * k, h * w), x.dtype)
     cols.reshape(c, k, k, h, w)[...] = win.transpose(0, 3, 4, 1, 2)
     return cols
-
-
-def _input_grad(w2t: np.ndarray, dz: np.ndarray, k: int, shape: tuple[int, int, int], ws: Workspace):
-    """Gradient [C, H*W] of a conv's input, a fresh array: ``w2t @ dz``
-    scattered back through the adjoint of ``_cols`` for k > 1."""
-    if k == 1:
-        return w2t @ dz
-    c, h, w = shape
-    r = k // 2
-    dcols = np.matmul(w2t, dz, out=ws.take("cols", (c * k * k, h * w), dz.dtype))  # the columns are spent
-    d5 = dcols.reshape(c, k, k, h, w)
-    dxp = ws.take("pad", (c, h + 2 * r, w + 2 * r), dz.dtype)  # and so is the padded input
-    dxp.fill(0)
-    for di in range(k):
-        for dj in range(k):
-            dxp[:, di : di + h, dj : dj + w] += d5[:, di, dj]
-    return dxp[:, r : r + h, r : r + w].reshape(c, h * w)  # the reshape copies the strided interior
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -388,8 +371,9 @@ def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray)
         # its gate then reads
         x_in = bc.x_in if i == 0 else _relu(zs[i - 1], cache.blocks[i - 1], out=act).reshape((-1,) + hw)
         grads[f"block{i}.w"] = (dz @ _cols(x_in, k, ws).T).astype(np.float64).reshape(blk.w.shape)
-        if i > 0:
-            da = _input_grad(blk.w.reshape(blk.w.shape[0], -1).T.astype(dtype), dz, k, x_in.shape, ws)
+        if i > 0:  # the input gradient: a 'same' conv of dz by the flipped, channel-swapped kernel
+            w_t = np.flip(blk.w, (2, 3)).transpose(1, 0, 2, 3).reshape(blk.w.shape[1], -1)
+            da = w_t.astype(dtype) @ _cols(dz.reshape((-1,) + hw), k, ws)
     return grads
 
 

@@ -1,6 +1,6 @@
 """Seeded run of every CLI subcommand, for byte-identity checks between trees.
 
-Runs gen-data, fit-frozen, twelve train variants, eval with and without a
+Runs gen-data, fit-frozen, thirteen train variants, eval with and without a
 head, score for every scorer plus a heatmap, eval and score with the 3x3
 head and with a legacy head, ablate, and sweeps over patches, gamma and
 lambda, all on one small seeded config.  The legacy head is the ``lam``
@@ -56,11 +56,13 @@ TRAIN_VARIANTS = {
     # most crops become polygons here (few at the defaults), so Harris,
     # hull and raster changes all reach the bytes; see STEP_CONSTANTS
     "polygons": [],
-    # 3x3 kernels take the im2col path (_cols/_input_grad) that 1x1 kernels skip
+    # 3x3 kernels build zero-padded columns (_cols) in both passes, which 1x1 kernels skip
     "kernel3": ["--set", "head.kernel_size=3"],
     # a second 3x3 shape through the head's workspace: 16-channel columns in
     # every block, so block 0's im2col buffers are no smaller than the rest
     "kernel3_hidden16": ["--set", "head.kernel_size=3", "--set", "head.hidden=16"],
+    # a 2-pixel halo per block in the columns' zero padding, forward and backward
+    "kernel5": ["--set", "head.kernel_size=5"],
     # one block: the backward recomputes only the last block's ReLU output
     "blocks1": ["--set", "head.blocks=1"],
     # its head.txt records lam=0.25, which eval and score then default to

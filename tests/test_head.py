@@ -364,10 +364,16 @@ class TestBackward:
         assert worst < 1e-6, f"gradient mismatch {worst:.3e}"
 
     def test_gradcheck_kernel3(self):
-        # two blocks, so the input gradient's col2im (_input_grad) is checked too
-        cfg = HeadConfig(feature_dim=3, blocks=2, hidden=4, kernel_size=3)
-        params, x, tgt = clear_instance(1, cfg)
-        assert max_grad_error(params, x, tgt) < 1e-6
+        # kernels 3 and 5 on a non-square map, at two and three blocks, so the
+        # input gradient (a conv by the flipped, channel-swapped kernel) is
+        # checked through one and two later blocks, and a flip on one axis
+        # alone shows
+        for k in (3, 5):
+            for blocks in (2, 3):
+                cfg = HeadConfig(feature_dim=3, blocks=blocks, hidden=4, kernel_size=k)
+                params, x, tgt = clear_instance(1, cfg)
+                worst = max_grad_error(params, x, tgt)
+                assert worst < 1e-6, f"kernel {k}, {blocks} blocks: gradient mismatch {worst:.3e}"
 
     def test_cache_ownership_enforced(self):
         cfg = HeadConfig(feature_dim=4)
