@@ -328,27 +328,23 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-SWEEP_PARAMS = {"lambda": "lam", "gamma": "gamma", "patches": "n_patches"}  # --param -> train key
-
-
 def cmd_sweep(args) -> int:
     config = load_config(args.config, args.set)
-    if args.param not in SWEEP_PARAMS:
-        raise ConfigError(f"--param must be one of {sorted(SWEEP_PARAMS)}, got {args.param!r}")
-    key = SWEEP_PARAMS[args.param]
-    head_cfg = _world_head(config)
-    cfgs = []
+    section, _, key = args.param.partition(".")
+    if section not in ("train", "head") or key not in DEFAULT_CONFIG[section]:  # every value trains on one world
+        raise ConfigError(f"--param must be a key of the train or head section, got {args.param!r}")
+    runs = []
     for raw in args.values:  # typed and checked like --set, before any work
         run_cfg = copy.deepcopy(config)
-        _merge_strict(run_cfg, _parse_set(f"train.{key}={raw}"))
-        cfgs.append(_section(run_cfg, "train"))
+        _merge_strict(run_cfg, _parse_set(f"{args.param}={raw}"))
+        runs.append((run_cfg[section][key], _section(run_cfg, "train"), _world_head(run_cfg)))
     out = Path(args.out)
     images, frozen, eval_set = _prepare_world(config, out)
     lines = ["param,value,ap,auroc,fpr95"]
-    for cfg in cfgs:
+    for value, cfg, head_cfg in runs:
         head = _train_arm(images, frozen, cfg, head_cfg)
         r = evaluate(head, frozen, eval_set, lam=cfg.lam)["combined"]
-        lines.append(f"{args.param},{getattr(cfg, key)!r},{r.ap!r},{r.auroc!r},{r.fpr95!r}")
+        lines.append(f"{args.param},{value!r},{r.ap!r},{r.auroc!r},{r.fpr95!r}")
     _write_grid(out, "sweep.csv", lines, frozen, config)
     return 0
 
@@ -399,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sensitivity sweep over one parameter")
     with_config(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--param", required=True)
+    p.add_argument("--param", required=True, metavar="SECTION.KEY", help="a train.* or head.* key, checked like --set")
     p.add_argument("--values", nargs="+", required=True)
 
     return parser

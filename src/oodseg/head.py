@@ -56,16 +56,18 @@ shipped config or the golden record uses; 32x32, 16x16, 48x80; kernels 1
 and 3).  Elsewhere (37x53, 70x70) they differ by at most 5e-16 of the
 largest logit: OpenBLAS's dgemm rounds ragged edge columns on their own path.
 
-A checkpoint is one TNSR file per array plus ``head.txt``: the config
+A checkpoint is one TNSR file per array plus ``head.txt``, one
+``key=value`` line per name of ``_MANIFEST_KEYS`` in that order: the config
 fields, then the digest of the frozen model the head was trained on, its
 training λ and the SHA-256 of its training config.  This module alone
 writes and reads those lines; ``load_head`` reads the file once and
-rejects a head that does not match the given frozen digest.
+rejects a manifest with any other set or order of lines, and a head that
+does not match the given frozen digest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -381,9 +383,7 @@ def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray)
 # checkpointing (module docstring): one TNSR file per array plus head.txt
 
 _MANIFEST = "head.txt"
-# lines of heads written with a conv bias; such a head loads only with these
-# values, the model this head implements (its block*_b tensors are not read)
-_LEGACY_LINES = {"use_batchnorm": "1", "bn_epsilon": repr(BN_EPSILON)}
+_MANIFEST_KEYS = (*(f.name for f in fields(HeadConfig)), "frozen_digest", "lam", "train_config")
 
 
 def _tensor_file(name: str) -> str:
@@ -395,9 +395,8 @@ def save_head(params: HeadParams, out_dir: str | Path, frozen_digest: str, lam: 
     with ``lam``, under a training config whose SHA-256 is ``train_config``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [f"{f.name}={getattr(params.config, f.name)!r}" for f in fields(HeadConfig)]
-    lines += [f"frozen_digest={frozen_digest}", f"lam={lam!r}", f"train_config={train_config}"]
-    (out / _MANIFEST).write_text("\n".join(lines) + "\n")
+    values = [*astuple(params.config), frozen_digest, repr(lam), train_config]  # every config field is an int
+    (out / _MANIFEST).write_text("".join(f"{key}={val}\n" for key, val in zip(_MANIFEST_KEYS, values, strict=True)))
     for name, arr in params.arrays():
         write_tensor(out / _tensor_file(name), arr)
 
@@ -405,21 +404,18 @@ def save_head(params: HeadParams, out_dir: str | Path, frozen_digest: str, lam: 
 def load_head(ckpt_dir: str | Path, frozen_digest: str) -> tuple[HeadParams, float]:
     """(head, λ) from a checkpoint written by ``save_head`` for the frozen
     model of digest ``frozen_digest``; anything else is ``ArtifactError``.
-    ``head.txt`` is read once; each tensor is read and checked (shape its
-    config implies, finite) before any parameter is built.  A head written
-    before λ was recorded has λ 0.5."""
+    ``head.txt`` is read once and must hold the ``_MANIFEST_KEYS`` lines, in
+    order and nothing else; each tensor is read and checked (shape its
+    config implies, finite) before any parameter is built."""
     ckpt = Path(ckpt_dir)
-    meta = {}
-    for line in (ckpt / _MANIFEST).read_text().splitlines():
-        if line.strip():
-            key, _, val = line.partition("=")
-            meta[key] = val
-    for key, val in _LEGACY_LINES.items():
-        if meta.get(key, val) != val:
-            raise ArtifactError(f"head under {ckpt} has {key}={meta[key]}; only {key}={val} is supported")
+    lines = [line.partition("=")[::2] for line in (ckpt / _MANIFEST).read_text().splitlines() if line.strip()]
+    keys = tuple(key for key, _ in lines)
+    if keys != _MANIFEST_KEYS:
+        raise ArtifactError(f"head manifest under {ckpt} has keys {keys}, not {_MANIFEST_KEYS}")
+    meta = dict(lines)
     try:
         cfg = HeadConfig(**{f.name: int(meta[f.name]) for f in fields(HeadConfig)})  # every field is an int
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ArtifactError(f"malformed head manifest under {ckpt}: {exc!r}") from exc
     arrays = {}
     for name, shape in _shapes(cfg).items():
@@ -428,14 +424,11 @@ def load_head(ckpt_dir: str | Path, frozen_digest: str) -> tuple[HeadParams, flo
             raise ArtifactError(f"{name} has shape {arrays[name].shape} in {ckpt}, config implies {shape}")
         if not np.isfinite(arrays[name]).all():
             raise ArtifactError(f"{name} in {ckpt} holds a value that is not finite")
-    recorded = meta.get("frozen_digest")
-    if recorded is None:
-        raise ArtifactError(f"head checkpoint under {ckpt_dir} records no frozen_digest")
-    if recorded != frozen_digest:
+    if meta["frozen_digest"] != frozen_digest:
         raise ArtifactError(
-            f"head checkpoint was trained against frozen model {recorded[:12]}, got {frozen_digest[:12]}")
+            f"head checkpoint was trained against frozen model {meta['frozen_digest'][:12]}, got {frozen_digest[:12]}")
     try:
-        lam = float(meta.get("lam", "0.5"))
+        lam = float(meta["lam"])
     except ValueError:
         lam = np.nan
     if not np.isfinite(lam):

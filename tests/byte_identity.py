@@ -2,10 +2,12 @@
 
 Runs gen-data, fit-frozen, thirteen train variants, eval with and without a
 head, score for every scorer plus a heatmap, eval and score with the 3x3
-head and with a legacy head, ablate, and sweeps over patches, gamma and
-lambda, all on one small seeded config.  The legacy head is the ``lam``
-variant's head as older versions wrote it: without a ``lam=`` line, so it
-scores at 0.5, and with the lines of a head that had a conv bias.  Two more
+head and with a legacy head, ablate, and sweeps over patches, gamma,
+lambda and the head's kernel size, all on one small seeded config.  The
+legacy head is the ``lam`` variant's head as older versions wrote it:
+without a ``lam=`` line and with the lines of a head that had a conv bias.
+``head.txt`` must hold exactly the lines ``save_head`` writes, so both
+legacy-head steps exit 3.  Two more
 gen-data steps write a larger dataset into ``regen`` and then a smaller one
 over it, so the removal of an earlier export's extra scene files and the
 diamond anomaly shape (first drawn by eval scene 4) reach the bytes.
@@ -83,7 +85,13 @@ def legacy_head() -> None:
     manifest.write_text("\n".join(lines + ["use_batchnorm=1", "bn_epsilon=1e-05", "bn_momentum=0.9"]) + "\n")
 
 
-SWEEPS = {"patches": ["3", "5"], "gamma": ["5", "15"], "lambda": ["0.25", "1"]}
+# sweep directory label -> (--param key, --values)
+SWEEPS = {
+    "patches": ("train.n_patches", ["3", "5"]),
+    "gamma": ("train.gamma", ["5", "15"]),
+    "lambda": ("train.lam", ["0.25", "1"]),
+    "kernel_size": ("head.kernel_size", ["1", "3"]),
+}
 
 
 def steps() -> list[tuple[str, list[str]]]:
@@ -119,9 +127,9 @@ def steps() -> list[tuple[str, list[str]]]:
         ("score-heatmap", [*score, "--out", "score/heat.tnsr", "--heatmap", "score/heat.pgm"]),
         ("ablate", ["ablate", *SMALL, "--out", "ablate"]),
     ]
-    for param, values in SWEEPS.items():
-        argv = ["sweep", *SMALL, "--out", f"sweep_{param}", "--param", param, "--values", *values]
-        out.append((f"sweep-{param}", argv))
+    for label, (param, values) in SWEEPS.items():
+        argv = ["sweep", *SMALL, "--out", f"sweep_{label}", "--param", param, "--values", *values]
+        out.append((f"sweep-{label}", argv))
     out += [
         ("eval-lam-nan", ["eval", *head, "--data", "data", "--out", "eval_nan", "--lam", "nan"]),
         ("score-lam-nan", [*score, "--out", "score/nan.tnsr", "--lam", "nan"]),

@@ -283,10 +283,10 @@ class TestPipeline:
         assert main(["eval", *args, "--out", str(tmp_path / "e")]) == 0
         assert record(tmp_path / "e") == {"lam": 0.5, "head": None, "frozen": args[1], "data": args[3]}
         sweep = [*TINY, "--set", "train.iterations=2"]
-        assert main(["sweep", *sweep, "--out", str(tmp_path / "s"), "--param", "gamma", "--values", "5"]) == 0
+        assert main(["sweep", *sweep, "--out", str(tmp_path / "s"), "--param", "train.gamma", "--values", "5"]) == 0
         assert record(tmp_path / "s") == load_config(None, sweep[1::2])  # all five sections
 
-    def test_eval_and_score_default_to_the_heads_lam(self, pipeline, tmp_path):
+    def test_eval_and_score_default_to_the_heads_lam(self, pipeline, tmp_path, capsys):
         world = ["--data", str(pipeline / "data"), "--frozen", str(pipeline / "frozen")]
         run = tmp_path / "run"
         assert main(["train", *TINY, "--set", "train.lam=0.25", *world, "--out", str(run)]) == 0
@@ -317,7 +317,10 @@ class TestPipeline:
         assert score_sidecar() == "scorer=combined\nlambda=0.25\n"
         assert score_sidecar("--lam", "0.5") == "scorer=combined\nlambda=0.5\n"  # an explicit --lam wins
         _edit_manifest(run / "head", "lam=0.25\n", "")  # as written before lam was recorded
-        assert score_sidecar() == "scorer=combined\nlambda=0.5\n"
+        image = str(pipeline / "data" / "eval" / "scene_0000.ppm")
+        assert main(["score", *head, "--image", image, "--out", str(tmp_path / "lamless.tnsr")]) == 3
+        assert "artifact error" in capsys.readouterr().err
+        assert not (tmp_path / "lamless.tnsr").exists()
 
 
     def test_heatmap_directory_is_created(self, pipeline, tmp_path):
@@ -542,18 +545,18 @@ class TestExitCodes:
             (["fit-frozen", "--set", "frozen.seed=-1"], "frozen config invalid: seed must be >= 0"),
             (["train", "--set", "train.seed=-1", "--data", "d", "--frozen", "f"], "train config invalid: seed"),
             (["ablate", "--set", "data.seed=-2"], "data config invalid: seed must be >= 0"),
-            (["sweep", "--param", "patches", "--values", "abc"], "'train.n_patches' must be an integer"),
-            (["sweep", "--param", "gamma", "--values", "nan"], "'train.gamma' must be finite"),
+            (["sweep", "--param", "train.n_patches", "--values", "abc"], "'train.n_patches' must be an integer"),
+            (["sweep", "--param", "train.gamma", "--values", "nan"], "'train.gamma' must be finite"),
             (["train", "--set", "train.gamma=nan", "--data", "d", "--frozen", "f"], "'train.gamma' must be finite"),
             (["eval", "--lam", "nan", "--frozen", "f", "--data", "d"], "'--lam' must be finite"),
             (["score", "--lam", "inf", "--frozen", "f", "--image", "i.ppm"], "'--lam' must be finite"),
             # the default scorer needs --head
             (["score", "--frozen", "f", "--image", "i.ppm"], "--scorer combined needs --head"),
             (["ablate", "--set", "train.seed=-1"], "train config invalid: seed"),
-            (["sweep", "--set", "head.blocks=0", "--param", "gamma", "--values", "5"], "head config invalid: blocks"),
-            (["sweep", "--param", "gamma", "--values", "-5"], "train config invalid: gamma"),
+            (["sweep", "--set", "head.blocks=0", "--param", "train.gamma", "--values", "5"], "head config invalid: blocks"),
+            (["sweep", "--param", "train.gamma", "--values", "-5"], "train config invalid: gamma"),
             (["ablate", "--set", "frozen.fit_scenes=0"], "frozen config invalid: need at least one scene"),
-            (["sweep", "--set", "frozen.seed=-1", "--param", "gamma", "--values", "5"],
+            (["sweep", "--set", "frozen.seed=-1", "--param", "train.gamma", "--values", "5"],
              "frozen config invalid: seed must be >= 0"),
             (["gen-data", "--set", "scene.classes=300"], "scene config invalid: need 2 to 255 classes"),
             # the head takes its feature_dim from the world's frozen model, so the frozen section is at fault
@@ -835,23 +838,40 @@ class TestGrids:
         for rel in ("ablate.csv", "data/train/scene_0000.ppm", "data/eval/scene_0000.ppm"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "fresh" / rel).read_bytes(), rel
 
-    def test_sweep(self, tmp_path):
+    @pytest.mark.parametrize(
+        "param, values, first, second",
+        [
+            ("train.gamma", ["5", "15"], "train.gamma,5.0,", "train.gamma,15.0,"),
+            ("head.kernel_size", ["1", "3"], "head.kernel_size,1,", "head.kernel_size,3,"),
+            ("train.seed", ["0", "1"], "train.seed,0,", "train.seed,1,"),
+        ],
+        ids=["train_gamma", "head_kernel_size", "train_seed"],
+    )
+    def test_sweep(self, tmp_path, param, values, first, second):
         out = tmp_path / "sweep"
-        rc = main(["sweep", *TINY, "--out", str(out), "--param", "gamma", "--values", "5", "15"])
+        rc = main(["sweep", *TINY, "--out", str(out), "--param", param, "--values", *values])
         assert rc == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "param,value,ap,auroc,fpr95"
         assert len(lines) == 3
-        assert lines[1].startswith("gamma,5.0,")
-        assert lines[2].startswith("gamma,15.0,")
+        assert lines[1].startswith(first)
+        assert lines[2].startswith(second)
+        if param == "head.kernel_size":  # a head key reaches the trained head
+            assert lines[1].split(",")[2:] != lines[2].split(",")[2:]
 
     def test_sweep_patches_values_are_integers(self, tmp_path):
         out = tmp_path / "sweep"
-        rc = main(["sweep", *TINY, "--out", str(out), "--param", "patches", "--values", "2", "3"])
+        rc = main(["sweep", *TINY, "--out", str(out), "--param", "train.n_patches", "--values", "2", "3"])
         assert rc == 0
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert [line.split(",")[:2] for line in lines[1:]] == [["patches", "2"], ["patches", "3"]]
+        assert [line.split(",")[:2] for line in lines[1:]] == [["train.n_patches", "2"], ["train.n_patches", "3"]]
 
-    def test_sweep_unknown_param_is_2(self, tmp_path):
-        rc = main(["sweep", *TINY, "--out", str(tmp_path / "s"), "--param", "depth", "--values", "1"])
-        assert rc == 2
+    def test_sweep_unknown_param_is_2(self, tmp_path, capsys):
+        # not a key, the old aliases, keys of the sections the world is built from,
+        # a head key that the frozen model sets, and an unknown train key
+        for param in ("depth", "gamma", "lambda", "patches", "scene.height", "data.seed", "frozen.seed",
+                      "head.feature_dim", "train.depth"):
+            rc = main(["sweep", *TINY, "--out", str(tmp_path / "s"), "--param", param, "--values", "1"])
+            assert rc == 2, param
+            assert not (tmp_path / "s").exists(), param
+            assert f"--param must be a key of the train or head section, got {param!r}" in capsys.readouterr().err

@@ -539,25 +539,25 @@ class TestPersistence:
             f"train_config={CONFIG_SHA}\n"
         )
 
-    def test_conv_bias_format_loads(self, tmp_path):
-        # heads written with a conv bias carry two more manifest lines and a
-        # zero block*_b tensor per block; they load as the same model.  Their
-        # bn_momentum line, unknown here, is ignored, and a head written
-        # before lam was recorded has lam 0.5
-        params = head_init(HeadConfig(feature_dim=4, blocks=2, hidden=3), seed=4)
-        save(params, tmp_path / "new", lam=0.25)
-        old = tmp_path / "old"
-        save(params, old, lam=0.25)
-        text = (old / "head.txt").read_text().replace("lam=0.25\n", "")
-        (old / "head.txt").write_text(text + "use_batchnorm=1\nbn_epsilon=1e-05\nbn_momentum=0.9\n")
-        for i in range(2):
-            write_tensor(old / f"block{i}_b.tnsr", np.zeros(3))
-        (a, lam_a), (b, lam_b) = load_head(tmp_path / "new", DIGEST), load_head(old, DIGEST)
-        assert (lam_a, lam_b) == (0.25, 0.5)
-        assert a.config == b.config
-        assert [n for n, _ in a.arrays()] == [n for n, _ in b.arrays()]
-        for (name, x), (_, y) in zip(a.arrays(), b.arrays()):
-            np.testing.assert_array_equal(x, y, err_msg=name)
+    @pytest.mark.parametrize(
+        "edit, b_tensors",
+        [
+            # a head written with a conv bias: three more lines and a zero block*_b tensor per block
+            (lambda text: text + "use_batchnorm=1\nbn_epsilon=1e-05\nbn_momentum=0.9\n", True),
+            (lambda text: text.replace("lam=0.25\n", ""), False),  # as written before lam was recorded
+            (lambda text: text + "note=hello\n", False),
+        ],
+        ids=["conv_bias", "no_lam", "extra_line"],
+    )
+    def test_other_manifests_are_artifact_errors(self, tmp_path, edit, b_tensors):
+        # head.txt holds exactly the lines save_head writes, so an older format does not load
+        ckpt = tmp_path / "ckpt"
+        save(head_init(HeadConfig(feature_dim=4, blocks=2, hidden=3), seed=4), ckpt, lam=0.25)
+        (ckpt / "head.txt").write_text(edit((ckpt / "head.txt").read_text()))
+        for i in range(2 if b_tensors else 0):
+            write_tensor(ckpt / f"block{i}_b.tnsr", np.zeros(3))
+        with pytest.raises(ArtifactError, match="head manifest under .* has keys"):
+            load_head(ckpt, DIGEST)
 
     def test_checks_run_in_order(self, tmp_path):
         # a head failing every check names the first; mending it uncovers the next
@@ -565,12 +565,10 @@ class TestPersistence:
         save(head_init(HeadConfig(feature_dim=4), seed=0), ckpt)
         good, out_b, nan_b = (ckpt / "head.txt").read_text(), read_tensor(ckpt / "out_b.tnsr"), np.full(2, np.nan)
         bad_lam = good.replace("lam=0.5", "lam=nan")
-        no_digest = bad_lam.replace(f"frozen_digest={DIGEST}\n", "")
         steps = [
-            (no_digest.replace("hidden=32\n", "") + "use_batchnorm=0\n", nan_b, "has use_batchnorm=0"),
-            (no_digest.replace("hidden=32\n", ""), nan_b, "malformed head manifest"),
-            (no_digest, nan_b, "out.b in .* not finite"),
-            (no_digest, out_b, "records no frozen_digest"),
+            (bad_lam.replace("hidden=32\n", "") + "use_batchnorm=0\n", nan_b, "has keys .*'use_batchnorm'"),
+            (bad_lam.replace("hidden=32\n", "hidden=0\n"), nan_b, "malformed head manifest"),
+            (bad_lam, nan_b, "out.b in .* not finite"),
             (bad_lam.replace(DIGEST, "e" * 64), out_b, "frozen model eeeeeeeeeeee, got dddddddddddd"),
             (bad_lam, out_b, "records lam=nan, not a finite number"),
         ]
