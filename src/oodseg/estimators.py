@@ -19,6 +19,7 @@ higher always means more anomalous.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -77,23 +78,32 @@ def max_logit_map(seg_logits: np.ndarray) -> np.ndarray:
     return -np.max(np.asarray(seg_logits, dtype=np.float64), axis=0)
 
 
-# scorer -> map from (head logits, seg logits, their free energy, lam); head
-# logits are None for scorers outside HEAD_SCORERS.  The entries look map
-# functions up at call time, so a rebound module attribute reaches every caller.
+# scorer -> map from (head logits, seg logits, their free energy, lam).  Head logits
+# and free energy are zero-argument cached calls: a walk runs each at most once, and
+# only if read.  Map functions are looked up at call time, so a rebound one reaches all.
 _HEAD_MAPS = {
-    "combined": lambda hl, seg, jem, lam: combined_map(hl, jem, lam),
-    "tae": lambda hl, seg, jem, lam: tae_log_prob_map(hl),
-    "tore": lambda hl, seg, jem, lam: tore_residual_map(hl, jem),
+    "combined": lambda hl, seg, jem, lam: combined_map(hl(), jem(), lam),
+    "tae": lambda hl, seg, jem, lam: tae_log_prob_map(hl()),
+    "tore": lambda hl, seg, jem, lam: tore_residual_map(hl(), jem()),
 }
-_SCORER_MAPS = {
-    **_HEAD_MAPS,
-    "jem": lambda hl, seg, jem, lam: jem,
+_SEG_MAPS = {
+    "jem": lambda hl, seg, jem, lam: jem(),
     "msp": lambda hl, seg, jem, lam: msp_map(seg),
     "entropy": lambda hl, seg, jem, lam: entropy_map(seg),
     "max_logit": lambda hl, seg, jem, lam: max_logit_map(seg),
 }
+_SCORER_MAPS = {**_HEAD_MAPS, **_SEG_MAPS}
 SCORERS = tuple(_SCORER_MAPS)
 HEAD_SCORERS = tuple(_HEAD_MAPS)  # need head logits as well as seg logits
+
+
+def _score_maps(head, features, seg_logits, lam, scorers) -> dict[str, np.ndarray]:
+    seg = np.asarray(seg_logits, dtype=np.float64)
+    if seg.ndim != 3 or (head is not None and np.shape(features)[1:] != seg.shape[1:]):  # the head keeps H, W
+        raise ValueError(f"seg logits must be [K, H, W] with the features' H, W: {seg.shape}, {np.shape(features)}")
+    hl = functools.cache(lambda: head_forward(head, features, mode="eval")[0])
+    jem = functools.cache(lambda: jem_map(seg))
+    return {name: _SCORER_MAPS[name](hl, seg, jem, lam) for name in scorers}
 
 
 def all_score_maps(
@@ -102,14 +112,8 @@ def all_score_maps(
     seg_logits: np.ndarray,
     lam: float,
 ) -> dict[str, np.ndarray]:
-    """Every scorer's map in ``SCORERS`` order, from one head forward and one jem map; head maps need ``head``."""
-    hl = head_forward(head, features, mode="eval")[0] if head is not None else None
-    jem = jem_map(seg_logits)
-    return {
-        name: fn(hl, seg_logits, jem, lam)
-        for name, fn in _SCORER_MAPS.items()
-        if hl is not None or name not in HEAD_SCORERS
-    }
+    """Every scorer's map in ``SCORERS`` order, head scorers' only with ``head``; one head forward, one jem map."""
+    return _score_maps(head, features, seg_logits, lam, SCORERS if head is not None else tuple(_SEG_MAPS))
 
 
 def score_map(
@@ -119,24 +123,15 @@ def score_map(
     lam: float,
     scorer: str,
 ) -> np.ndarray:
-    """[H, W] score map for one scorer; eval-mode head, frozen inputs."""
+    """[H, W] map of one scorer; the eval-mode head and jem map run only if it reads them."""
     if scorer not in SCORERS:
         raise ValueError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")
-    seg = np.asarray(seg_logits, dtype=np.float64)
-    if seg.ndim != 3:
-        raise ValueError(f"seg logits must be [K, H, W], got shape {seg.shape}")
-    hl = None
-    if scorer in HEAD_SCORERS:
-        if head is None:
-            raise ValueError(f"scorer {scorer!r} needs head parameters")
-        hl, _ = head_forward(head, features, mode="eval")
-        if hl.shape[1:] != seg.shape[1:]:
-            raise ValueError(f"head/seg spatial mismatch: {hl.shape} vs {seg.shape}")
-    return _SCORER_MAPS[scorer](hl, seg, jem_map(seg), lam)
+    if head is None and scorer in HEAD_SCORERS:
+        raise ValueError(f"scorer {scorer!r} needs head parameters")
+    return _score_maps(head, features, seg_logits, lam, [scorer])[scorer]
 
 
 def save_score_map(path: str | Path, values: np.ndarray, scorer: str, lam: float) -> None:
     """TNSR values plus a text sidecar recording scorer and lambda."""
-    path = Path(path)
     write_tensor(path, values)
-    path.with_suffix(path.suffix + ".txt").write_text(f"scorer={scorer}\nlambda={lam!r}\n")
+    Path(f"{path}.txt").write_text(f"scorer={scorer}\nlambda={lam!r}\n")

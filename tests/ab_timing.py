@@ -30,7 +30,9 @@ B - A with a bootstrap 95% interval of that median (Kalibera & Jones, ISMM
 untimed op.
 Both sides share one allocator, so peak RSS stays a separate-process
 metric.  An A/A run, the same tree on both sides, should give intervals
-that hold zero.
+that hold zero, but one 16-pair interval can exclude zero for code that did
+not change.  So a speed claim needs a second run with ``--a`` and ``--b``
+exchanged, and reports both runs.
 
     python tests/ab_timing.py --a HEAD~1 --b HEAD              # two commits
     python tests/ab_timing.py --a /path/to/other/src --b src   # a directory

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import oodseg.estimators
 from oodseg.estimators import (
     HEAD_SCORERS,
     SCORERS,
@@ -23,7 +24,7 @@ from oodseg.estimators import (
     tae_log_prob_map,
     tore_residual_map,
 )
-from oodseg.head import HeadConfig, head_init
+from oodseg.head import HeadConfig, head_forward, head_init
 from oodseg.tensorio import read_tensor
 
 
@@ -34,6 +35,19 @@ def px(values):
 
 def at(score_map_values) -> float:
     return float(score_map_values[0, 0])
+
+
+def count_calls(monkeypatch) -> dict:
+    """Wrap ``jem_map`` and ``head_forward`` where the estimators call them;
+    the returned dict counts each one's calls."""
+    calls = {"jem_map": 0, "head_forward": 0}
+    for name, fn in (("jem_map", jem_map), ("head_forward", head_forward)):
+        def counting(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(oodseg.estimators, name, counting)
+    return calls
 
 
 class TestFrozenValues:
@@ -118,6 +132,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             score_map(None, None, np.zeros((3, 2, 2)), 0.5, "combined")
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3, 2, 2)])
+    def test_seg_logits_need_rank_3(self, shape):
+        with pytest.raises(ValueError):
+            score_map(None, None, np.zeros(shape), 0.5, "msp")
+        with pytest.raises(ValueError):
+            all_score_maps(None, None, np.zeros(shape), 0.5)
+
+    def test_seg_logits_on_the_features_grid(self):
+        head = head_init(HeadConfig(feature_dim=4, blocks=1, hidden=6), seed=5)
+        feats, seg = np.zeros((4, 6, 6)), np.zeros((3, 5, 6))
+        for scorer in ("tae", "msp"):
+            with pytest.raises(ValueError):
+                score_map(head, feats, seg, 0.5, scorer)
+        with pytest.raises(ValueError):
+            all_score_maps(head, feats, seg, 0.5)
+
 
 class TestWithHead:
     def _setup(self):
@@ -141,6 +171,17 @@ class TestWithHead:
             single = score_map(head, feats, seg, lam=0.3, scorer=scorer)
             assert single.shape == (6, 6)
             np.testing.assert_array_equal(single, maps[scorer])  # one formula per scorer
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_score_map_computes_only_what_it_reads(self, monkeypatch, scorer):
+        calls = count_calls(monkeypatch)
+        head, feats, seg = self._setup()
+        score_map(head, feats, seg, 0.5, scorer)
+        assert calls["jem_map"] == int(scorer in ("combined", "tore", "jem"))
+        assert calls["head_forward"] == int(scorer in HEAD_SCORERS)
+        all_score_maps(head, feats, seg, 0.5)
+        assert calls["jem_map"] == 1 + int(scorer in ("combined", "tore", "jem"))
+        assert calls["head_forward"] == 1 + int(scorer in HEAD_SCORERS)
 
     def test_eval_forward_is_pure(self):
         head, feats, seg = self._setup()
