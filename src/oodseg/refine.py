@@ -8,8 +8,9 @@ pasted score, minimizing either the plain sum of within-group variances
 the pasted region at or above the winning threshold become the anomaly set,
 the rest of the pasted region is ignored, and everything outside is the
 in-distribution set.  Mode "none" skips the search and keeps the whole
-pasted region as anomalies.  Per-region thresholds are searched for all
-regions in one batched pass, bit for bit the thresholds of one search each.
+pasted region as anomalies.  Per-region thresholds come from one batched
+objective whose counts are one ``np.searchsorted`` per region, in that
+region's own sorted scores: bit for bit the thresholds of one search each.
 """
 
 from __future__ import annotations
@@ -74,32 +75,13 @@ def _group_means(v, sizes, member_group):
     return np.add.reduceat(led, np.cumsum(sizes + 1) - sizes - 1) / sizes
 
 
-def _counts_below(v, member_group, lo, hi, cands):
-    """``np.searchsorted(group g's scores, cands[g])`` for every group g.
-
-    Each score counts the candidates at or below it: a guess from the grid's
-    step, corrected against the candidates on either side until they agree
-    (a row of the grid never decreases).  A score lies below candidate i
-    exactly when its count is at most i.
-    """
-    spread = np.where(hi > lo, hi - lo, np.inf)  # a constant group's scores reach every candidate
-    reached = ((v - lo[member_group]) / spread[member_group] * (NUM_BINS - 1)).astype(np.intp)
-    reached += np.where(hi > lo, 1, NUM_BINS)[member_group]
-    edges = np.hstack([cands, np.full((lo.size, 1), np.inf)]).ravel()  # a sentinel ends each row
-    base = member_group * (NUM_BINS + 1)
-    while (move := (edges[base + reached] <= v).astype(np.intp) - (edges[base + reached - 1] > v)).any():
-        reached += move
-    per_count = np.bincount(base + reached, minlength=edges.size).reshape(lo.size, NUM_BINS + 1)
-    return np.cumsum(per_count, axis=1)[:, :NUM_BINS]
-
-
 def search_threshold(scores, mode: str = "eq11", groups=None):
     """Best threshold among ``NUM_BINS`` evenly spaced candidates.
 
-    Ties go to the smallest candidate, which keeps the upper group as
-    large as possible.  ``groups``, one non-negative integer label per
-    score, searches every label's scores in one vectorized pass and returns
-    one threshold per label present, in label order.
+    Ties go to the smallest candidate, which keeps the upper group as large as
+    possible.  ``groups``, one non-negative integer label per score, returns
+    one threshold per label present, in label order: one batched objective,
+    counted by one ``np.searchsorted`` per label, bit for bit one search each.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"mode must be one of {SEARCH_MODES}, got {mode!r}")
@@ -121,13 +103,12 @@ def search_threshold(scores, mode: str = "eq11", groups=None):
         to_group = (np.cumsum(counts > 0) - 1).astype(np.uint16 if sizes.size <= 1 << 16 else np.intp)
         by_score = np.argsort(s)
         v = s[by_score[np.argsort(to_group[labels[by_score]], kind="stable")]]
-        member_group = np.repeat(np.arange(sizes.size), sizes)
-        means = _group_means(v, sizes, member_group)
+        means = _group_means(v, sizes, np.repeat(np.arange(sizes.size), sizes))
     n = sizes[:, None]
     starts = np.cumsum(sizes) - sizes
     lo, hi = v[starts] + 0.0, v[starts + sizes - 1] + 0.0  # a zero endpoint is +0.0, either sort order
     cands = _grid(lo, hi)
-    k = np.searchsorted(v, cands) if groups is None else _counts_below(v, member_group, lo, hi, cands)
+    k = np.array([np.searchsorted(v[a : a + m], c) for a, m, c in zip(starts, sizes, cands)])
     # center first: group variances from prefix sums of centered values stay
     # accurate even when the mean dwarfs the spread.  A row holds a zero, one
     # group's values, then zeros; its cumsum is the group's own prefix sum.

@@ -383,6 +383,8 @@ class TestBackward:
         logits, cache = head_forward(a, x, mode="train")
         with pytest.raises(ValueError):
             head_backward(b, cache, np.zeros_like(logits))
+        with pytest.raises(ValueError, match="does not belong"):
+            commit_batch_stats(b, [cache])
 
     def test_grad_shape_checked(self):
         params = head_init(HeadConfig(feature_dim=4), seed=0)

@@ -320,6 +320,20 @@ class TestDonorCorners:
             assert patch.mask.shape == (cand.height, cand.width)
             assert patch.mask.all()
 
+    @pytest.mark.parametrize(
+        "name, error", [("convex_hull", DegenerateHullError), ("rasterize", DegeneratePolygonError)]
+    )
+    def test_degenerate_outline_keeps_rectangle(self, monkeypatch, name, error):
+        def degenerate(*args):
+            raise error(f"degenerate {name} input")
+
+        monkeypatch.setattr(oodseg.patches, name, degenerate)
+        # all four of the square's corners fall inside, so the hull is tried
+        cand = PatchCandidate(donor=0, x0=18, y0=18, width=20, height=20)
+        (patch,) = build_patches([self.square_donor()], [cand])
+        assert patch.mask.shape == (20, 20)
+        assert patch.mask.all()
+
 
 class TestPaste:
     def target(self):

@@ -65,6 +65,9 @@ class TestTensorErrors:
             tensor_bytes(np.float64(3.0))  # rank 0
         with pytest.raises(TensorFormatError):
             tensor_bytes(np.zeros((1, 1, 1, 1, 1)))  # rank 5
+        for rank in (0, 5):
+            with pytest.raises(TensorFormatError, match="rank must be"):
+                tensor_from_bytes(b"TNSR" + struct.pack("<IBB", 1, 1, rank) + b"\x00" * 8 * rank)
 
     def test_bad_magic(self):
         with pytest.raises(BadMagicError):
@@ -107,6 +110,8 @@ class TestTensorErrors:
         blob = b"TNSR" + struct.pack("<IBB", 1, 1, 2) + struct.pack("<2Q", 0, 4)
         with pytest.raises(TensorFormatError):
             tensor_from_bytes(blob)
+        with pytest.raises(TensorFormatError, match="dims must be positive"):
+            tensor_bytes(np.zeros((2, 0)))
 
     def test_element_count_overflow(self):
         # 2^32 * 2^32 * 2 overflows an unsigned 64-bit element count
@@ -198,6 +203,10 @@ class TestNetpbm:
         (tmp_path / "e.pgm").write_bytes(b"P5\n3 3")
         with pytest.raises(MalformedHeaderError):
             read_pgm(tmp_path / "e.pgm")
+        for header in (b"P5\n3 3 255", b"P5\n3 3 255#"):  # no separator byte after the maxval
+            (tmp_path / "e.pgm").write_bytes(header)
+            with pytest.raises(MalformedHeaderError, match="missing separator"):
+                read_pgm(tmp_path / "e.pgm")
 
     def test_bad_dimensions(self, tmp_path):
         (tmp_path / "d.pgm").write_bytes(b"P5\n0 2\n255\n")

@@ -1,5 +1,7 @@
 """Training loop tests at miniature scale: determinism, logging, evaluation."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,18 @@ class TestTrain:
         before = frozen_digest(frozen)
         train(images, frozen, tiny_cfg(iterations=2), head_config=HEAD_CFG)
         assert frozen_digest(frozen) == before
+
+    def test_frozen_model_change_is_caught(self, frozen, images, monkeypatch):
+        model = copy.deepcopy(frozen)
+        encode = oodseg.trainer.frozen_encoder
+
+        def nudging(m, image):
+            m.dec_b[0] += 1.0  # one frozen value changes in place
+            return encode(m, image)
+
+        monkeypatch.setattr(oodseg.trainer, "frozen_encoder", nudging)
+        with pytest.raises(RuntimeError, match="frozen model changed during training"):
+            train(images, model, tiny_cfg(iterations=2), head_config=HEAD_CFG)
 
     def test_warmup_changes_refinement(self, frozen, images, tmp_path):
         _, log_w = train(images, frozen, tiny_cfg(warmup_iters=6), head_config=HEAD_CFG)
