@@ -1,6 +1,8 @@
 """Training loop tests at miniature scale: determinism, logging, evaluation."""
 
+import contextlib
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -76,6 +78,22 @@ def count_jem_maps(monkeypatch) -> list:
     return calls
 
 
+@contextlib.contextmanager
+def keeps_numpy_state():
+    """Run the block under a ufunc buffer size of the caller's own, and check
+    that it and numpy's error state are as the caller set them afterwards,
+    also when the block raises."""
+    caller = np.setbufsize(2048)
+    try:
+        state = (np.getbufsize(), np.geterr())
+        try:
+            yield
+        finally:
+            assert (np.getbufsize(), np.geterr()) == state
+    finally:
+        np.setbufsize(caller)
+
+
 def tiny_cfg(**kwargs):
     base = dict(
         iterations=6,
@@ -129,7 +147,8 @@ class TestAdam:
 
 class TestTrain:
     def test_tiny_run_logs_every_iteration(self, frozen, images):
-        head, log = train(images, frozen, tiny_cfg(), head_config=HEAD_CFG)
+        with keeps_numpy_state():
+            head, log = train(images, frozen, tiny_cfg(), head_config=HEAD_CFG)
         assert len(log.records) + log.aborted == 6
         assert log.aborted == 0
         for i, rec in enumerate(log.records):
@@ -154,6 +173,22 @@ class TestTrain:
         assert runs["a"][1] == runs["b"][1]
         for name, arr in runs["a"][0].trainable():
             np.testing.assert_array_equal(arr, dict(runs["b"][0].trainable())[name])
+
+    def test_bytes_do_not_depend_on_buffer_size(self, frozen, monkeypatch):
+        # the loop's ufunc buffer size only decides whether numpy copies
+        # operands through its buffer, never what a ufunc computes
+        spec = SceneSpec(height=64, width=64, classes=3)
+        scenes = [generate_scene(spec, np.random.default_rng([3, i]))[0] for i in range(3)]
+        derived = oodseg.trainer._ufunc_buffer_size(scenes)
+        assert derived == 64 * 64
+        runs = []
+        for size in (derived, 8192, 16):
+            monkeypatch.setattr(oodseg.trainer, "_ufunc_buffer_size", lambda images, size=size: size)
+            head, log = train(scenes, frozen, tiny_cfg(iterations=4, warmup_iters=2), head_config=HEAD_CFG)
+            assert log.aborted == 0
+            records = [dataclasses.replace(r, ms=0.0) for r in log.records]
+            runs.append(([(name, arr.tobytes()) for name, arr in head.arrays()], records))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_frozen_model_untouched(self, frozen, images):
         before = frozen_digest(frozen)
@@ -192,7 +227,7 @@ class TestTrain:
         # every patch is skipped whenever the small image is the target
         big = np.zeros((600, 600, 3), dtype=np.uint8)
         mixed = [images[0], big]
-        with pytest.raises(TrainingAbortedError):
+        with pytest.raises(TrainingAbortedError), keeps_numpy_state():
             train(mixed, frozen, tiny_cfg(iterations=8), head_config=HEAD_CFG)
 
     def test_abort_tolerance(self, frozen, images, monkeypatch):
@@ -234,7 +269,8 @@ class TestTrain:
         monkeypatch.setattr(oodseg.trainer, "ADAM_LR", 1e300)
         cfg = tiny_cfg(warmup_iters=warmup_iters)
         with pytest.raises(TrainingDivergedError, match=f"^iteration 1: {what} is not finite$"):
-            train(images, frozen, cfg, head_config=HEAD_CFG)
+            with keeps_numpy_state():
+                train(images, frozen, cfg, head_config=HEAD_CFG)
 
     def test_non_finite_gradient_stops_before_any_update(self, frozen, images, monkeypatch):
         seen = []
@@ -248,7 +284,8 @@ class TestTrain:
 
         monkeypatch.setattr(oodseg.trainer, "head_backward", nan_backward)
         with pytest.raises(TrainingDivergedError, match="^iteration 0: gradient is not finite$"):
-            train(images, frozen, tiny_cfg(), head_config=HEAD_CFG)
+            with keeps_numpy_state():
+                train(images, frozen, tiny_cfg(), head_config=HEAD_CFG)
         head, before = seen[0]
         for (name, arr), (_, arr0) in zip(head.arrays(), before):  # BN running statistics included
             np.testing.assert_array_equal(arr, arr0, err_msg=name)
