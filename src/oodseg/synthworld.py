@@ -16,6 +16,11 @@ content-addressed by a digest:
   solved in closed form on a batch of generated scenes.
 
 Training never touches either part; a digest check enforces that.
+
+Each part is one matmul on its input reshaped to [C, H*W]: the dgemm that
+``np.tensordot`` calls, without its Python wrapper, so the bytes are the
+same.  On numpy 2.4.6 that took a 64x64 image's encoder from 277 to 210 us
+(344 to 312 in a slower run) and its decoder from 46 to 37 us.
 """
 
 from __future__ import annotations
@@ -203,12 +208,14 @@ def _pixel_stack(image: np.ndarray) -> np.ndarray:
 
 def frozen_encoder(model: FrozenModel, image: np.ndarray) -> np.ndarray:
     """Project each pixel's local descriptor to [feature_dim, H, W]."""
-    return np.tensordot(model.projection, _pixel_stack(image), axes=1)
+    stack = _pixel_stack(image)
+    return (model.projection @ stack.reshape(len(stack), -1)).reshape((-1,) + stack.shape[1:])
 
 
 def seg_logits_map(model: FrozenModel, features: np.ndarray) -> np.ndarray:
     """Frozen decoder logits [classes, H, W] from encoder features."""
-    return np.tensordot(model.dec_w, features, axes=1) + model.dec_b[:, None, None]
+    logits = model.dec_w @ features.reshape(features.shape[0], -1) + model.dec_b[:, None]
+    return logits.reshape((-1,) + features.shape[1:])
 
 
 def fit_frozen_decoder(spec: SceneSpec, feature_dim: int, n_scenes: int, seed: int) -> FrozenModel:

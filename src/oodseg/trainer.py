@@ -18,7 +18,8 @@ over rows of L elements through its buffer whenever the buffer holds at
 least 2L elements: on numpy 2.4.6, a ``[32, 4096]`` float32 multiply by a
 ``[32, 1]`` column took about 3 times as long at the default buffer of
 8192 as at 4096, the time of a contiguous multiply of the same size.  The
-buffer size changes no output byte.
+buffer size changes no output byte.  ``head.ufunc_buffer`` sets it from the
+pixel count, as it does for the head's eval bands.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .head import (
     head_backward,
     head_forward,
     head_init,
+    ufunc_buffer,
 )
 from .losses import MARGIN_MODES, DegeneratePartitionError, batch_total_loss, pooled_set_sizes
 from .metrics import EvalResult, evaluate_scores
@@ -53,7 +55,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 MAX_ABORT_FRAC = 0.1  # share of iterations that may abort before the run fails
-NUMPY_BUFSIZE = 8192  # numpy's default ufunc buffer size, in elements
 
 
 class TrainingAbortedError(RuntimeError):
@@ -219,14 +220,6 @@ def _step(
     return float(l_a), float(l_o), n_ood, n_ignored, float(np.mean([p.eta for p in parts]))
 
 
-def _ufunc_buffer_size(images: list[np.ndarray]) -> int:
-    """The training loop's ufunc buffer size: the smallest image's pixel
-    count, rounded down to a multiple of 16 (numpy's unit), from 16 up to
-    numpy's default."""
-    pixels = min(image.shape[0] * image.shape[1] for image in images)
-    return min(NUMPY_BUFSIZE, max(16, pixels // 16 * 16))
-
-
 def train(
     train_images: list[np.ndarray],
     frozen: FrozenModel,
@@ -256,10 +249,8 @@ def train(
     # one Harris pass per training image, keyed by its index in train_images
     corners = [donor_corners(image) for image in train_images]
     slots = [None] * cfg.batch_size
-    # per-channel broadcasts skip numpy's buffer copies (module docstring);
-    # numpy < 2.0's errstate does not restore the buffer size, so finally does
-    caller_bufsize = np.setbufsize(_ufunc_buffer_size(train_images))
-    try:
+    # per-channel broadcasts skip numpy's buffer copies (module docstring)
+    with ufunc_buffer(min(image.shape[0] * image.shape[1] for image in train_images)):
         for it in range(cfg.iterations):
             tic = time.perf_counter()
             try:
@@ -271,8 +262,6 @@ def train(
                 log.aborted += 1
                 continue
             log.records.append(LogRecord(it, *stats, ms=(time.perf_counter() - tic) * 1000.0))
-    finally:
-        np.setbufsize(caller_bufsize)
     if log.aborted > MAX_ABORT_FRAC * cfg.iterations:
         raise TrainingAbortedError(
             f"{log.aborted}/{cfg.iterations} iterations aborted on degenerate partitions"

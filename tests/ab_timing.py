@@ -13,21 +13,27 @@ ones, so that neither side always runs first.  The ops:
 * ``score``: one ``score --heatmap`` request through the CLI per eval image;
 * ``eval``: one ``eval`` request through the CLI over the whole eval split;
 * ``eval-3x3``: the same with a 3x3 head, whose eval bands take their
-  im2col buffers from the head's workspace across images.
+  im2col buffers from the head's workspace across images;
+* ``synth`` and ``synth-desk``: ``synth_pasted_scene`` alone, with 40
+  patches (paste-heavy's setting) or 10 (the desk's), over ``SYNTH_SCENES``
+  fixed (target, seed) pairs, each target pasted from the other training
+  images and their corners as a training slot does.  Whole trainings cannot
+  resolve a stage saving of about 1 ms per iteration; these ops can.
 
 Pair ``i`` trains with seed ``i``.  The inputs are one world built on disk
 by side A's CLI (``gen-data`` and ``fit-frozen`` at their defaults, and
 10-iteration 1x1 and 3x3 heads for ``score`` and the ``eval`` ops), which
 each side reads with its own loaders.  Every pair checks that both sides
 return equal bytes: the head's tensors and the log's fields but its
-wall-time column, the score map and heatmap files, or ``eval.csv``.  A
-difference stops the run.
+wall-time column, the score map and heatmap files, ``eval.csv``, or each
+pasted scene's image, mask, region ids and skipped count.  A difference
+stops the run.
 
 Per op it prints each side's median CPU ms per iteration (per request for
-``score`` and the ``eval`` ops), the median of the paired differences
-B - A with a bootstrap 95% interval of that median (Kalibera & Jones, ISMM
-2013), the pairs B won, and each side's ``tracemalloc`` peak over one more
-untimed op.
+``score`` and the ``eval`` ops, per scene for the ``synth`` ops), the median
+of the paired differences B - A with a bootstrap 95% interval of that median
+(Kalibera & Jones, ISMM 2013), the pairs B won, and each side's
+``tracemalloc`` peak over one more untimed op.
 Both sides share one allocator, so peak RSS stays a separate-process
 metric.  An A/A run, the same tree on both sides, should give intervals
 that hold zero, but one 16-pair interval can exclude zero for code that did
@@ -68,9 +74,11 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
-OPS = ("desk-1x1", "desk-3x3", "paste-heavy", "score", "eval", "eval-3x3")
+OPS = ("desk-1x1", "desk-3x3", "paste-heavy", "score", "eval", "eval-3x3", "synth", "synth-desk")
 REQUESTS = ("score", "eval", "eval-3x3")  # the ops that run CLI requests, not a training
+SYNTH_PATCHES = {"synth": 40, "synth-desk": 10}  # the ops that paste scenes, by patch count
 SCORE_HEAD_ITERS = 10
+SYNTH_SCENES = 96
 BOOTSTRAP = 10_000
 
 
@@ -81,7 +89,7 @@ def load_tree(name: str, src: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("cli", "head", "synthworld", "trainer"):
+    for sub in ("cli", "head", "patches", "synthworld", "trainer"):
         importlib.import_module(f"{name}.{sub}")  # and bound as an attribute of the package
     return module
 
@@ -129,6 +137,9 @@ class Op:
         if op not in REQUESTS:
             self.images = side.synthworld.load_train_images(world["data"])
             self.frozen = side.synthworld.load_frozen(world["frozen"])
+        if op in SYNTH_PATCHES:
+            self.units = SYNTH_SCENES
+            self.corners = [side.patches.donor_corners(image) for image in self.images]
 
     def run(self, pair: int) -> tuple[float, bytes]:
         tic = time.process_time()
@@ -136,6 +147,8 @@ class Op:
             result = self._score()
         elif self.op in REQUESTS:
             result = self._eval()
+        elif self.op in SYNTH_PATCHES:
+            result = self._synth()
         else:
             result = self._train(pair)
         return (time.process_time() - tic) / self.units, result
@@ -148,6 +161,17 @@ class Op:
         params, log = trainer.train(self.images, self.frozen, cfg, head_cfg)
         records = [dataclasses.replace(r, ms=0.0) for r in log.records]
         return b"".join(arr.tobytes() for _, arr in params.arrays()) + repr((records, log.aborted)).encode()
+
+    def _synth(self) -> bytes:
+        got = []
+        for seed in range(SYNTH_SCENES):
+            t = seed % len(self.images)
+            donors, corners = self.images[:t] + self.images[t + 1 :], self.corners[:t] + self.corners[t + 1 :]
+            scene = self.side.patches.synth_pasted_scene(
+                self.images[t], donors, SYNTH_PATCHES[self.op], np.random.default_rng(seed), corners)
+            got += [scene.image.tobytes(), scene.mask.tobytes(), scene.region_ids.tobytes()]
+            got.append(repr(scene.skipped).encode())
+        return b"".join(got)
 
     def _score(self) -> bytes:
         got = []

@@ -6,6 +6,7 @@ small band of zero are resampled: differencing across the kink measures
 the wrong one-sided slope, which says nothing about the backward pass.
 """
 
+import contextlib
 import copy
 import tracemalloc
 
@@ -31,6 +32,22 @@ from oodseg.tensorio import ArtifactError, read_tensor, write_tensor
 
 FD_EPS = 1e-5
 KINK_CLEARANCE = 2e-3
+
+
+@contextlib.contextmanager
+def keeps_numpy_state():
+    """Run the block under a ufunc buffer size of the caller's own, and check
+    that it and numpy's error state are as the caller set them afterwards,
+    also when the block raises."""
+    caller = np.setbufsize(2048)
+    try:
+        state = (np.getbufsize(), np.geterr())
+        try:
+            yield
+        finally:
+            assert (np.getbufsize(), np.geterr()) == state
+    finally:
+        np.setbufsize(caller)
 
 
 def pre_relu(params, x):
@@ -341,6 +358,27 @@ class TestEvalBands:
         assert bands.dtype == np.float32
         np.testing.assert_allclose(bands, full, rtol=0, atol=1e-5 * np.max(np.abs(full)))
 
+    def test_leaves_numpy_state_as_the_caller_set_it(self):
+        params = trained_like(HeadConfig(feature_dim=16), 0)
+        x = np.random.default_rng(1).standard_normal((16, 64, 64))
+        with keeps_numpy_state():
+            head_forward(params, x, mode="eval")
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_bytes_do_not_depend_on_buffer_size(self, monkeypatch, k):
+        # the bands' ufunc buffer size only decides whether numpy copies
+        # operands through its buffer, never what a ufunc computes
+        runs, asked, derive = [], [], oodseg.head.ufunc_buffer_size
+        for size in (None, 8192, 16):  # None: the size the bands derive, a band's pixel count
+            def buffer_size(pixels, size=size):
+                asked.append(pixels)
+                return derive(pixels) if size is None else size
+            monkeypatch.setattr(oodseg.head, "ufunc_buffer_size", buffer_size)
+            runs.append([self.both(k, (64, 64), seed)[0].tobytes() for seed in range(2)])
+        band = max(TILE_PIXELS, BAND_HALOS * 3 * (k // 2) * 64)  # three blocks, rows of 64 pixels
+        assert asked == [band] * 6 and derive(band) == band
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_kernel3_reuses_the_head_workspace(self):
         # a second eval forward of the same shape takes its im2col buffers
         # from the head's workspace, the same arrays the first one grew
@@ -352,6 +390,30 @@ class TestEvalBands:
         second = head_forward(params, x, mode="eval")[0]
         assert all(params.workspace._flat[role] is buf for role, buf in buffers.items())
         assert second.tobytes() == first.tobytes()
+
+
+def test_buffer_size_rounds_down_to_numpy_units():
+    size = oodseg.head.ufunc_buffer_size
+    assert [size(p) for p in (4096, 512, 500, 15, 0, 10**6)] == [4096, 512, 496, 16, 16, 8192]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_is_a_scalar_maximum_byte_for_byte(dtype):
+    # the train-mode ReLU takes an array zero; NaN, signed zeros, infinities
+    # and subnormals come out as np.maximum(., 0.0) gives them
+    info = np.finfo(dtype)
+    special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal,
+                        -info.smallest_subnormal, info.tiny, -info.tiny, info.max, -info.max], dtype)
+    z = np.concatenate([np.tile(special, 4), np.random.default_rng(0).standard_normal(16).astype(dtype)])
+    z = np.tile(z, (5, 1))
+    scale = np.array([1.0, -1.0, 0.0, 0.5, 1e-300])
+    shift = np.array([0.0, -0.0, 0.0, -1e-310, 1.0])
+    bc = oodseg.head._BlockCache(None, (1, z.shape[1]), z, np.zeros(5), np.ones(5), np.ones(5), scale, shift)
+    with np.errstate(all="ignore"):
+        want = np.maximum(z * scale.astype(dtype)[:, None] + shift.astype(dtype)[:, None], 0.0)
+        assert oodseg.head._relu(z, bc).tobytes() == want.tobytes()
+        z_in = z.copy()  # the forward's in-place call
+        assert oodseg.head._relu(z_in, bc, out=z_in).tobytes() == want.tobytes()
 
 
 class TestBackward:

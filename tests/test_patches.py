@@ -279,6 +279,87 @@ class TestBuildPatches:
         assert patch.mask.shape == (48, 48)
 
 
+def per_crop_patches(donor_images, candidates, corners):
+    """(mask, texture) per candidate, by a reference that tests each crop's
+    donor corners on their own, point by point."""
+    out = []
+    for cand in candidates:
+        crop = donor_images[cand.donor][cand.y0 : cand.y0 + cand.height, cand.x0 : cand.x0 + cand.width]
+        local = [(x - cand.x0, y - cand.y0) for x, y in np.asarray(corners[cand.donor]).tolist()
+                 if cand.x0 <= x < cand.x0 + cand.width and cand.y0 <= y < cand.y0 + cand.height]
+        mask = np.ones((cand.height, cand.width), dtype=bool)
+        if len(local) >= 3:
+            try:
+                mask = rasterize(convex_hull(local), cand.width, cand.height)
+            except (DegenerateHullError, DegeneratePolygonError):
+                pass
+        out.append((mask, crop))
+    return out
+
+
+class TestOneCornerTestPerScene:
+    """``build_patches`` tests every crop's corners in one pass; its patches
+    are the per-crop reference's byte for byte."""
+
+    @staticmethod
+    def assert_matches_reference(donors, cands, corners):
+        got = build_patches(donors, cands, corners)
+        want = per_crop_patches(donors, cands, corners)
+        assert len(got) == len(want) == len(cands)
+        for patch, (mask, texture) in zip(got, want):
+            assert patch.mask.shape == mask.shape and patch.mask.tobytes() == mask.tobytes()
+            assert patch.texture.shape == texture.shape and patch.texture.tobytes() == texture.tobytes()
+        return want
+
+    def test_random_candidates(self):
+        spec = SceneSpec()
+        donors = [generate_scene(spec, np.random.default_rng([5, i]))[0] for i in range(12)]
+        donors.append(np.full((64, 64, 3), 80, dtype=np.uint8))  # a donor with no corners
+        corners = [donor_corners(d) for d in donors]
+        assert len(corners[-1]) == 0
+        hulls = 0
+        for seed in range(40):
+            cands = sample_candidates(donors, 40 if seed % 2 else 10, np.random.default_rng(seed))
+            want = self.assert_matches_reference(donors, cands, corners)
+            hulls += sum(not mask.all() for mask, _ in want)
+        assert hulls > 0  # some crops reach the hull path
+
+    def test_donors_without_corners(self):
+        donors = [np.full((32, 32, 3), v, dtype=np.uint8) for v in (0, 90)]
+        corners = [np.zeros((0, 2), dtype=np.int64)] * 2
+        cands = sample_candidates(donors, 10, np.random.default_rng(0))
+        want = self.assert_matches_reference(donors, cands, corners)
+        assert all(mask.all() for mask, _ in want)
+
+    def test_crops_flush_with_the_right_and_bottom_edges(self):
+        donor = np.random.default_rng(1).integers(0, 256, size=(40, 48, 3), dtype=np.uint8)
+        # corners on the donor's last row and column: on a flush crop's edges,
+        # one past the edges of the crop that ends a pixel short
+        corners = [np.array([[47, 39], [40, 39], [47, 30], [32, 24], [31, 39], [47, 23], [35, 33], [40, 30]])]
+        cands = [
+            PatchCandidate(donor=0, x0=32, y0=24, width=16, height=16),
+            PatchCandidate(donor=0, x0=40, y0=30, width=8, height=10),
+            PatchCandidate(donor=0, x0=33, y0=25, width=15, height=15),
+            PatchCandidate(donor=0, x0=31, y0=23, width=16, height=16),
+        ]
+        want = self.assert_matches_reference([donor], cands, corners)
+        assert not any(mask.all() for mask, _ in want)
+
+    def test_crops_with_three_or_more_corners_reach_the_hull(self):
+        donor = np.zeros((64, 64, 3), dtype=np.uint8)
+        donor[20:36, 20:36] = 200
+        corners = [donor_corners(donor)]
+        cands = [PatchCandidate(donor=0, x0=x, y0=y, width=20, height=20) for x in (16, 18) for y in (16, 18)]
+        cands += [PatchCandidate(donor=0, x0=30, y0=16, width=16, height=24)]  # two corners
+        want = self.assert_matches_reference([donor], cands, corners)
+        assert [mask.all() for mask, _ in want] == [False] * 4 + [True]
+
+    def test_no_candidates(self):
+        donor = np.zeros((16, 16, 3), dtype=np.uint8)
+        assert build_patches([donor], [], [np.zeros((0, 2), dtype=np.int64)]) == []
+        assert build_patches([donor], []) == []
+
+
 class TestDonorCorners:
     def square_donor(self):
         donor = np.zeros((64, 64, 3), dtype=np.uint8)

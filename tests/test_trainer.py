@@ -1,6 +1,5 @@
 """Training loop tests at miniature scale: determinism, logging, evaluation."""
 
-import contextlib
 import copy
 import dataclasses
 
@@ -32,6 +31,7 @@ from oodseg.trainer import (
     write_eval_csv,
     write_trainlog_csv,
 )
+from test_head import keeps_numpy_state
 
 SPEC = SceneSpec(height=32, width=32, classes=3)
 HEAD_CFG = HeadConfig(feature_dim=8, blocks=2, hidden=8)
@@ -76,22 +76,6 @@ def count_jem_maps(monkeypatch) -> list:
     monkeypatch.setattr(oodseg.estimators, "jem_map", counting)
     monkeypatch.setattr(oodseg.trainer, "jem_map", counting)
     return calls
-
-
-@contextlib.contextmanager
-def keeps_numpy_state():
-    """Run the block under a ufunc buffer size of the caller's own, and check
-    that it and numpy's error state are as the caller set them afterwards,
-    also when the block raises."""
-    caller = np.setbufsize(2048)
-    try:
-        state = (np.getbufsize(), np.geterr())
-        try:
-            yield
-        finally:
-            assert (np.getbufsize(), np.geterr()) == state
-    finally:
-        np.setbufsize(caller)
 
 
 def tiny_cfg(**kwargs):
@@ -179,15 +163,17 @@ class TestTrain:
         # operands through its buffer, never what a ufunc computes
         spec = SceneSpec(height=64, width=64, classes=3)
         scenes = [generate_scene(spec, np.random.default_rng([3, i]))[0] for i in range(3)]
-        derived = oodseg.trainer._ufunc_buffer_size(scenes)
-        assert derived == 64 * 64
-        runs = []
-        for size in (derived, 8192, 16):
-            monkeypatch.setattr(oodseg.trainer, "_ufunc_buffer_size", lambda images, size=size: size)
+        runs, asked, derive = [], [], oodseg.head.ufunc_buffer_size
+        for size in (None, 8192, 16):  # None: the size the loop derives, 64 * 64
+            def buffer_size(pixels, size=size):
+                asked.append(pixels)
+                return derive(pixels) if size is None else size
+            monkeypatch.setattr(oodseg.head, "ufunc_buffer_size", buffer_size)
             head, log = train(scenes, frozen, tiny_cfg(iterations=4, warmup_iters=2), head_config=HEAD_CFG)
             assert log.aborted == 0
             records = [dataclasses.replace(r, ms=0.0) for r in log.records]
             runs.append(([(name, arr.tobytes()) for name, arr in head.arrays()], records))
+        assert asked == [64 * 64] * 3 and derive(64 * 64) == 64 * 64
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_frozen_model_untouched(self, frozen, images):
