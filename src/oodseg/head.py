@@ -265,7 +265,6 @@ class _BlockCache:
     """One block of a train-mode cache (module docstring)."""
 
     x_in: np.ndarray | None  # [C_in, H, W] input features on block 0; None on later blocks
-    hw: tuple[int, int]  # (H, W) of the map
     z: np.ndarray | None  # [C, H*W] centred conv output; None on block 0, recomputed there
     mean: np.ndarray     # [C] batch mean of the conv output
     var: np.ndarray      # [C] batch variance of the conv output
@@ -320,7 +319,7 @@ def head_forward(params: HeadParams, features: np.ndarray, mode: str = "eval"):
         var = _row_dots(z, z) / z.shape[1]
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         first = not caches  # block 0 keeps the features, not z: its ReLU output overwrites z
-        bc = _BlockCache(x if first else None, (h, w), None if first else z,
+        bc = _BlockCache(x if first else None, None if first else z,
                          mean, var, inv_std, blk.gamma * inv_std, blk.beta.copy())
         caches.append(bc)
         x = _relu(z, bc, out=z if first else None).reshape(-1, h, w)
@@ -381,12 +380,11 @@ def head_backward(params: HeadParams, cache: HeadCache, grad_logits: np.ndarray)
     """
     if cache is None or cache.params is not params:
         raise ValueError("cache does not belong to these parameters")
-    hw = cache.blocks[0].hw
+    b0, k, ws = cache.blocks[0], params.config.kernel_size, params.workspace
+    hw, dtype = b0.x_in.shape[1:], b0.x_in.dtype
     g = np.asarray(grad_logits)
     if g.shape != (OUT_CHANNELS,) + hw:
         raise ValueError(f"grad shape {g.shape} does not match logits")
-    b0, k, ws = cache.blocks[0], params.config.kernel_size, params.workspace
-    dtype = b0.x_in.dtype
     g2 = g.reshape(OUT_CHANNELS, -1).astype(dtype, copy=False)
     zs = [_centred_conv(params.blocks[0], b0.x_in, k, ws, b0.mean)[0]] + [bc.z for bc in cache.blocks[1:]]
     act = _relu(zs[-1], cache.blocks[-1])  # a fresh buffer, reused for every later recompute

@@ -11,14 +11,13 @@ Two terms, both defined on a refined pixel partition:
   function; both forms are available because the ablation compares a truly
   static margin against the dynamic one.
 
-The hinge subgradient at an exactly-zero argument is taken as zero.
-Gradients are returned with respect to the head logits; ignored pixels
-get exactly zero gradient.
+A batch is a list of (logits, jem, partition) triples, one per scene of
+any shape; both sets pool over it, and the gradient with respect to the
+logits comes back per triple, exactly zero on ignored pixels.  The hinge
+subgradient at an exactly-zero argument is taken as zero.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
 
 import numpy as np
 
@@ -38,58 +37,49 @@ def pooled_set_sizes(partitions) -> tuple[int, int]:
     return n_ood, n_id
 
 
-# One stack of a batch: logits [B, 2, H, W], the anomaly and in-distribution
-# masks and jem [B, H, W], and the pooled set sizes.  Every loss function
-# also takes one as its ``items``.
-_Batch = namedtuple("_Batch", "logits ood idm jem n_ood n_id")
-
-
-def _stack(items) -> _Batch:
-    if isinstance(items, _Batch):
-        return items
-    n_ood, n_id = pooled_set_sizes([p for _, _, p in items])
-    logits = np.stack([logits for logits, _, _ in items])
-    ood = np.stack([part.ood_mask for _, _, part in items])
-    idm = np.stack([part.id_mask for _, _, part in items])
-    jem = None if items[0][1] is None else np.stack([jem for _, jem, _ in items])  # None: no term reads it
-    return _Batch(logits, ood, idm, jem, n_ood, n_id)
-
-
-def batch_loss_tae(items) -> tuple[float, np.ndarray]:
+def batch_loss_tae(items) -> tuple[float, list[np.ndarray]]:
     """Cross-entropy over pooled sets: mean(-log p1) on anomalies plus
     mean(-log p0) on in-distribution pixels.  ``items`` is a list of
-    (head_logits [2,H,W], jem_values, partition) triples of one shape; jem
-    is unused here.  The gradient comes back as one [B, 2, H, W] array.
+    (head_logits [2,H,W], jem_values, partition) triples; jem is unused
+    here.  The gradient comes back as one [2, H, W] array per triple.
     """
-    logits, ood, idm, _, n_ood, n_id = _stack(items)
-    m = np.max(logits, axis=1, keepdims=True)
-    lp = logits - m - np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
-    # the pooled value adds per-image masked sums, image by image
-    value = sum(-lp[b, 1][ood[b]].sum() / n_ood - lp[b, 0][idm[b]].sum() / n_id for b in range(len(logits)))
-    # d(-log p_o)/dlogits = softmax - onehot(o), averaged per set; ignored pixels keep 0.0
-    d = np.exp(lp) - np.stack([idm, ood], axis=1)
-    grads = np.divide(d, np.where(ood, n_ood, n_id)[:, None], out=np.zeros_like(d), where=(ood | idm)[:, None])
+    n_ood, n_id = pooled_set_sizes([p for _, _, p in items])
+    value, grads = 0, []
+    for logits, _, part in items:
+        ood, idm = part.ood_mask, part.id_mask
+        x = logits - np.maximum(logits[0], logits[1])
+        e = np.exp(x)
+        lp = x - np.log(e[0] + e[1])
+        # the pooled value adds per-image masked sums, image by image
+        value += -lp[1][ood].sum() / n_ood - lp[0][idm].sum() / n_id
+        # d(-log p_o)/dlogits = softmax - onehot(o), averaged per set; ignored pixels keep 0.0
+        d = np.exp(lp) - np.stack([idm, ood])
+        grads.append(np.divide(d, np.where(ood, float(n_ood), float(n_id)), out=np.zeros_like(d), where=ood | idm))
     return float(value), grads
 
 
-def batch_loss_tore(items, gamma: float, margin: str = "dynamic") -> tuple[float, np.ndarray]:
+def batch_loss_tore(items, gamma: float, margin: str = "dynamic") -> tuple[float, list[np.ndarray]]:
     """Margin loss { mean_id(s) - mean_ood(s) + gamma }+ over pooled sets.
 
     Dynamic margin scores s = head[1] + jem; static scores s = head[1]
     alone (jem's contribution then lives in whatever gamma the caller
     passes).  Gradients land only on head channel 1 and only while the
-    hinge is strictly active; they come back as one [B, 2, H, W] array.
+    hinge is strictly active; they come back as one [2, H, W] array per
+    triple of ``items``.
     """
     if margin not in MARGIN_MODES:
         raise ValueError(f"margin must be one of {MARGIN_MODES}, got {margin!r}")
-    logits, ood, idm, jem, n_ood, n_id = _stack(items)
-    s = logits[:, 1] + jem if margin == "dynamic" else logits[:, 1]
-    mean_id = sum(s[b][idm[b]].sum() / n_id for b in range(len(logits)))
-    mean_ood = sum(s[b][ood[b]].sum() / n_ood for b in range(len(logits)))
+    n_ood, n_id = pooled_set_sizes([p for _, _, p in items])
+    mean_id = mean_ood = 0
+    for logits, jem, part in items:
+        s = logits[1] + jem if margin == "dynamic" else logits[1]
+        mean_id += s[part.id_mask].sum() / n_id
+        mean_ood += s[part.ood_mask].sum() / n_ood
     arg = mean_id - mean_ood + gamma
-    grads = np.zeros_like(logits)
+    grads = [np.zeros_like(logits) for logits, _, _ in items]
     if arg > 0.0:  # subgradient at exactly zero is zero
-        grads[:, 1] = np.where(idm, 1.0 / n_id, np.where(ood, -1.0 / n_ood, 0.0))
+        for g, (_, _, part) in zip(grads, items):
+            g[1] = np.where(part.id_mask, 1.0 / n_id, np.where(part.ood_mask, -1.0 / n_ood, 0.0))
     return float(max(arg, 0.0)), grads
 
 
@@ -99,8 +89,7 @@ def batch_total_loss(
     w_a: float = 1.0,
     w_o: float = 1.0,
     margin: str = "dynamic",
-) -> tuple[float, float, float, np.ndarray]:
-    batch = _stack(items)  # both terms read one stack
-    l_a, grads_a = batch_loss_tae(batch)
-    l_o, grads_o = batch_loss_tore(batch, gamma, margin)
-    return w_a * l_a + w_o * l_o, l_a, l_o, w_a * grads_a + w_o * grads_o
+) -> tuple[float, float, float, list[np.ndarray]]:
+    l_a, grads_a = batch_loss_tae(items)
+    l_o, grads_o = batch_loss_tore(items, gamma, margin)
+    return w_a * l_a + w_o * l_o, l_a, l_o, [w_a * ga + w_o * go for ga, go in zip(grads_a, grads_o)]

@@ -85,6 +85,8 @@ class TrainConfig:
             raise ValueError("iterations, batch_size, n_patches must be >= 1")
         if self.warmup_iters < 0:
             raise ValueError(f"warmup_iters must be >= 0, got {self.warmup_iters}")
+        if not np.isfinite([self.gamma, self.lam, self.w_a, self.w_o]).all():
+            raise ValueError("gamma, lam, w_a and w_o must be finite")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.seed < 0:
@@ -232,8 +234,7 @@ def train(
     degenerate are skipped and counted, and more than
     ``MAX_ABORT_FRAC`` of them fails the run.  A non-finite refinement
     score, loss or gradient raises ``TrainingDivergedError`` at once.
-    Slots are stacked for the loss, so the scenes of one batch must share
-    one shape.
+    The training images may differ in shape.
     """
     if len(train_images) < 2:
         raise ValueError(f"need >= 2 training images, got {len(train_images)}")

@@ -18,19 +18,27 @@ ones, so that neither side always runs first.  The ops:
   patches (paste-heavy's setting) or 10 (the desk's), over ``SYNTH_SCENES``
   fixed (target, seed) pairs, each target pasted from the other training
   images and their corners as a training slot does.  Whole trainings cannot
-  resolve a stage saving of about 1 ms per iteration; these ops can.
+  resolve a stage saving of about 1 ms per iteration; these ops can;
+* ``loss``: ``batch_total_loss`` alone, once per batch of the first
+  ``--iters`` iterations of a desk-1x1 and a paste-heavy training at seed
+  0, whose slots the trainer's own slot step prepares with a fresh head
+  (batches that abort are left out), under the training loop's ufunc
+  buffer size.  Like the ``synth`` ops, it resolves a stage change of
+  under 1 ms per iteration.
 
 Pair ``i`` trains with seed ``i``.  The inputs are one world built on disk
 by side A's CLI (``gen-data`` and ``fit-frozen`` at their defaults, and
 10-iteration 1x1 and 3x3 heads for ``score`` and the ``eval`` ops), which
 each side reads with its own loaders.  Every pair checks that both sides
 return equal bytes: the head's tensors and the log's fields but its
-wall-time column, the score map and heatmap files, ``eval.csv``, or each
-pasted scene's image, mask, region ids and skipped count.  A difference
+wall-time column, the score map and heatmap files, ``eval.csv``, each
+pasted scene's image, mask, region ids and skipped count, or each loss
+call's three values and per-slot gradients.  A difference
 stops the run.
 
 Per op it prints each side's median CPU ms per iteration (per request for
-``score`` and the ``eval`` ops, per scene for the ``synth`` ops), the median
+``score`` and the ``eval`` ops, per scene for the ``synth`` ops, per call
+for ``loss``), the median
 of the paired differences B - A with a bootstrap 95% interval of that median
 (Kalibera & Jones, ISMM 2013), the pairs B won, and each side's
 ``tracemalloc`` peak over one more untimed op.
@@ -74,9 +82,11 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
-OPS = ("desk-1x1", "desk-3x3", "paste-heavy", "score", "eval", "eval-3x3", "synth", "synth-desk")
+OPS = ("desk-1x1", "desk-3x3", "paste-heavy", "score", "eval", "eval-3x3", "synth", "synth-desk", "loss")
 REQUESTS = ("score", "eval", "eval-3x3")  # the ops that run CLI requests, not a training
 SYNTH_PATCHES = {"synth": 40, "synth-desk": 10}  # the ops that paste scenes, by patch count
+# TrainConfig keys that differ from the desk's defaults, by op
+TRAIN_EXTRA = {"paste-heavy": {"n_patches": 40, "per_region": True, "batch_size": 4}}
 SCORE_HEAD_ITERS = 10
 SYNTH_SCENES = 96
 BOOTSTRAP = 10_000
@@ -137,9 +147,13 @@ class Op:
         if op not in REQUESTS:
             self.images = side.synthworld.load_train_images(world["data"])
             self.frozen = side.synthworld.load_frozen(world["frozen"])
+        if op in SYNTH_PATCHES or op == "loss":
+            self.corners = [side.patches.donor_corners(image) for image in self.images]
         if op in SYNTH_PATCHES:
             self.units = SYNTH_SCENES
-            self.corners = [side.patches.donor_corners(image) for image in self.images]
+        if op == "loss":
+            self.batches = self._loss_batches()
+            self.units = len(self.batches)
 
     def run(self, pair: int) -> tuple[float, bytes]:
         tic = time.process_time()
@@ -149,14 +163,19 @@ class Op:
             result = self._eval()
         elif self.op in SYNTH_PATCHES:
             result = self._synth()
+        elif self.op == "loss":
+            result = self._loss()
         else:
             result = self._train(pair)
         return (time.process_time() - tic) / self.units, result
 
+    def _config(self, op: str, seed: int):
+        return self.side.trainer.TrainConfig(iterations=self.iters, warmup_iters=self.iters // 10, seed=seed,
+                                             **TRAIN_EXTRA.get(op, {}))
+
     def _train(self, pair: int) -> bytes:
         trainer, head = self.side.trainer, self.side.head
-        extra = {"n_patches": 40, "per_region": True, "batch_size": 4} if self.op == "paste-heavy" else {}
-        cfg = trainer.TrainConfig(iterations=self.iters, warmup_iters=self.iters // 10, seed=pair, **extra)
+        cfg = self._config(self.op, pair)
         head_cfg = head.HeadConfig(feature_dim=self.frozen.feature_dim, kernel_size=3 if self.op == "desk-3x3" else 1)
         params, log = trainer.train(self.images, self.frozen, cfg, head_cfg)
         records = [dataclasses.replace(r, ms=0.0) for r in log.records]
@@ -171,6 +190,32 @@ class Op:
                 self.images[t], donors, SYNTH_PATCHES[self.op], np.random.default_rng(seed), corners)
             got += [scene.image.tobytes(), scene.mask.tobytes(), scene.region_ids.tobytes()]
             got.append(repr(scene.skipped).encode())
+        return b"".join(got)
+
+    def _loss_batches(self) -> list:
+        """(slots, config) per batch of the ``loss`` op (module docstring)."""
+        trainer, head = self.side.trainer, self.side.head
+        params = head.head_init(head.HeadConfig(feature_dim=self.frozen.feature_dim), seed=0)
+        batches = []
+        for op in ("desk-1x1", "paste-heavy"):
+            cfg = self._config(op, 0)
+            for it in range(self.iters):
+                try:
+                    items = [trainer._prepare_example(self.images, self.corners, self.frozen, params, cfg, it, s)[0]
+                             for s in range(cfg.batch_size)]
+                    trainer.pooled_set_sizes([part for _, _, part in items])
+                except (trainer.EmptyPastedRegionError, trainer.DegeneratePartitionError):
+                    continue
+                batches.append((items, cfg))
+        return batches
+
+    def _loss(self) -> bytes:
+        got = []
+        with self.side.head.ufunc_buffer(min(image.shape[0] * image.shape[1] for image in self.images)):  # as trained
+            for items, cfg in self.batches:
+                total, l_a, l_o, grads = self.side.trainer.batch_total_loss(
+                    items, cfg.gamma, cfg.w_a, cfg.w_o, cfg.margin)
+                got += [repr((total, l_a, l_o)).encode()] + [g.tobytes() for g in grads]
         return b"".join(got)
 
     def _score(self) -> bytes:

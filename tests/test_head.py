@@ -408,7 +408,7 @@ def test_relu_is_a_scalar_maximum_byte_for_byte(dtype):
     z = np.tile(z, (5, 1))
     scale = np.array([1.0, -1.0, 0.0, 0.5, 1e-300])
     shift = np.array([0.0, -0.0, 0.0, -1e-310, 1.0])
-    bc = oodseg.head._BlockCache(None, (1, z.shape[1]), z, np.zeros(5), np.ones(5), np.ones(5), scale, shift)
+    bc = oodseg.head._BlockCache(None, z, np.zeros(5), np.ones(5), np.ones(5), scale, shift)
     with np.errstate(all="ignore"):
         want = np.maximum(z * scale.astype(dtype)[:, None] + shift.astype(dtype)[:, None], 0.0)
         assert oodseg.head._relu(z, bc).tobytes() == want.tobytes()

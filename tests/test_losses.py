@@ -144,7 +144,7 @@ class TestGradientsAgainstFiniteDifferences:
     @pytest.mark.parametrize("margin", ["dynamic", "static"])
     def test_total_grad_over_three_images(self, margin):
         rng = np.random.default_rng(24)
-        items = [random_item(rng) for _ in range(3)]
+        items = [random_item(rng) for _ in range(3)] + [random_item(rng, shape=(5, 2))]  # one more shape
         s = [logits[1] + jem if margin == "dynamic" else logits[1] for logits, jem, _ in items]
         s_id = np.concatenate([si[p.id_mask] for si, (_, _, p) in zip(s, items)])
         s_ood = np.concatenate([si[p.ood_mask] for si, (_, _, p) in zip(s, items)])
@@ -152,10 +152,63 @@ class TestGradientsAgainstFiniteDifferences:
             gamma = offset - (s_id.mean() - s_ood.mean())
             total, l_a, l_o, grads = batch_total_loss(items, gamma, 0.7, 1.3, margin)
             assert l_o == pytest.approx(max(offset, 0.0), abs=1e-9)
-            assert grads.shape == (3, 2, 3, 4)
+            assert [g.shape for g in grads] == [(2, 3, 4)] * 3 + [(2, 5, 2)]
             for b, (logits, _, _) in enumerate(items):
                 fd = self.fd_grad(lambda: batch_total_loss(items, gamma, 0.7, 1.3, margin)[0], logits)
                 np.testing.assert_allclose(grads[b], fd, atol=1e-7)
+
+
+def stacked_reference(items, gamma, w_a, w_o, margin):
+    """The loss over one-shape slots stacked into [B, 2, H, W] arrays, as the
+    package once computed it: (l_a, l_o, total, grads_a, grads_o, grads)."""
+    n_ood, n_id = pooled_set_sizes([p for _, _, p in items])
+    logits = np.stack([logits for logits, _, _ in items])
+    ood = np.stack([part.ood_mask for _, _, part in items])
+    idm = np.stack([part.id_mask for _, _, part in items])
+    jem = np.stack([jem for _, jem, _ in items])
+    m = np.max(logits, axis=1, keepdims=True)
+    lp = logits - m - np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
+    l_a = float(sum(-lp[b, 1][ood[b]].sum() / n_ood - lp[b, 0][idm[b]].sum() / n_id for b in range(len(logits))))
+    d = np.exp(lp) - np.stack([idm, ood], axis=1)
+    grads_a = np.divide(d, np.where(ood, n_ood, n_id)[:, None], out=np.zeros_like(d), where=(ood | idm)[:, None])
+    s = logits[:, 1] + jem if margin == "dynamic" else logits[:, 1]
+    mean_id = sum(s[b][idm[b]].sum() / n_id for b in range(len(logits)))
+    mean_ood = sum(s[b][ood[b]].sum() / n_ood for b in range(len(logits)))
+    arg = mean_id - mean_ood + gamma
+    grads_o = np.zeros_like(logits)
+    if arg > 0.0:
+        grads_o[:, 1] = np.where(idm, 1.0 / n_id, np.where(ood, -1.0 / n_ood, 0.0))
+    l_o = float(max(arg, 0.0))
+    return l_a, l_o, w_a * l_a + w_o * l_o, grads_a, grads_o, w_a * grads_a + w_o * grads_o
+
+
+class TestAgainstStackedReference:
+    @pytest.mark.parametrize("margin", ["dynamic", "static"])
+    def test_slot_by_slot_equals_the_stack_byte_for_byte(self, margin):
+        rng = np.random.default_rng(51)
+        hinges = set()
+        for n_slots in range(1, 9):
+            for trial in range(6):
+                shape = tuple(int(n) for n in rng.integers(2, 9, size=2))
+                p_ignore = 0.0 if trial == 0 else float(rng.uniform(0.0, 0.5))
+                items = [random_item(rng, shape, p_ignore) for _ in range(n_slots)]
+                w_a, w_o = (1.0, 1.0) if trial == 1 else tuple(float(w) for w in rng.uniform(0.1, 3.0, size=2))
+                # a gamma that puts the pooled hinge argument 2 either side of the kink
+                s = [logits[1] + jem if margin == "dynamic" else logits[1] for logits, jem, _ in items]
+                s_id = np.concatenate([si[p.id_mask] for si, (_, _, p) in zip(s, items)])
+                s_ood = np.concatenate([si[p.ood_mask] for si, (_, _, p) in zip(s, items)])
+                gamma = (2.0 if trial % 2 else -2.0) - (s_id.mean() - s_ood.mean())
+                want = stacked_reference(items, gamma, w_a, w_o, margin)
+                hinges.add(want[1] > 0.0)
+                l_a, grads_a = batch_loss_tae(items)
+                l_o, grads_o = batch_loss_tore(items, gamma, margin)
+                total, l_a2, l_o2, grads = batch_total_loss(items, gamma, w_a, w_o, margin)
+                assert (l_a, l_o, total) == want[:3] and (l_a2, l_o2) == (l_a, l_o)
+                for got, stacked in zip((grads_a, grads_o, grads), want[3:]):
+                    assert len(got) == n_slots
+                    for g, ref in zip(got, stacked):
+                        assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+        assert hinges == {True, False}
 
 
 class TestMarginEquivalence:

@@ -105,6 +105,11 @@ class TestTrainConfig:
             {"margin": "soft"},
             {"w_a": -0.5},
             {"seed": -1},
+            {"gamma": float("inf")},
+            {"lam": float("inf")},
+            {"lam": float("nan")},
+            {"w_a": float("nan")},
+            {"w_o": float("inf")},
         ],
     )
     def test_rejects(self, kwargs):
@@ -276,11 +281,23 @@ class TestTrain:
         for (name, arr), (_, arr0) in zip(head.arrays(), before):  # BN running statistics included
             np.testing.assert_array_equal(arr, arr0, err_msg=name)
 
-    def test_batch_of_two_shapes_is_a_value_error(self, frozen, images):
-        # the loss stacks the batch's slots, so one batch holds one shape
-        wide = np.concatenate([images[1], images[1][:, :8]], axis=1)
-        with pytest.raises(ValueError, match="same shape"):
-            train([images[0], wide], frozen, tiny_cfg(), head_config=HEAD_CFG)
+    def test_batch_may_mix_shapes(self, frozen, monkeypatch):
+        # the loss takes a batch slot by slot, so its scenes need not share a shape
+        shapes = [(64, 64)] * 3 + [(64, 72), (48, 64)]
+        scenes = [generate_scene(SceneSpec(height=h, width=w, classes=3), np.random.default_rng([4, i]))[0]
+                  for i, (h, w) in enumerate(shapes)]
+        batches = []
+
+        def spy(items, *args):
+            batches.append({logits.shape for logits, _, _ in items})
+            return batch_total_loss(items, *args)
+
+        monkeypatch.setattr(oodseg.trainer, "batch_total_loss", spy)
+        cfg = tiny_cfg(iterations=10, batch_size=4, warmup_iters=5)
+        _, log = train(scenes, frozen, cfg, head_config=HEAD_CFG)
+        assert len(log.records) + log.aborted == cfg.iterations
+        assert all(np.isfinite([r.l_a, r.l_o]).all() for r in log.records)
+        assert max(len(b) for b in batches) > 1
 
     def test_crops_take_their_donors_corners(self, frozen, images, monkeypatch):
         # the target leaves the donor list and shifts the donors after it;
