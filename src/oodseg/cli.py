@@ -238,14 +238,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_head(args, frozen: FrozenModel):
+    """(head, λ) of ``score`` and ``eval``: ``--head`` for ``frozen`` or None; ``--lam``, the head's or 0.5."""
+    head, lam = (None, 0.5) if args.head is None else load_head(args.head, frozen_digest(frozen))
+    if head is not None and head.config.feature_dim != frozen.feature_dim:  # a matching digest does not imply it
+        raise ArtifactError(f"head takes feature_dim={head.config.feature_dim}, frozen model gives {frozen.feature_dim}")
+    return head, lam if args.lam is None else args.lam
+
+
 def cmd_score(args) -> int:
     if args.lam is not None:
         _coerce("--lam", 0.5, args.lam)  # finite, before any file is touched
     if args.head is None and args.scorer in HEAD_SCORERS:
         raise ConfigError(f"--scorer {args.scorer} needs --head; without one, use a baseline scorer")
     frozen = load_frozen(args.frozen)
-    head, lam = (None, 0.5) if args.head is None else load_head(args.head, frozen_digest(frozen))
-    lam = lam if args.lam is None else args.lam
+    head, lam = _load_head(args, frozen)
     image = read_ppm(args.image)
     from .synthworld import frozen_encoder, seg_logits_map
 
@@ -267,8 +274,7 @@ def cmd_eval(args) -> int:
     if args.lam is not None:
         _coerce("--lam", 0.5, args.lam)  # finite, before any file is touched
     frozen = load_frozen(args.frozen)
-    head, lam = (None, 0.5) if args.head is None else load_head(args.head, frozen_digest(frozen))
-    lam = lam if args.lam is None else args.lam
+    head, lam = _load_head(args, frozen)
     eval_set = load_eval_set(args.data)
     results = evaluate(head, frozen, eval_set, lam=lam)
     out = Path(args.out)

@@ -5,10 +5,10 @@ the whole donor's luma, so detection thresholds are relative to the
 donor's peak response.  Rectangular crops are sampled from the donors;
 the donor corners inside a crop, in crop coordinates, span its convex
 hull, which becomes the patch outline and is rasterized with a
-pixel-center even-odd rule.  Crops holding too few or only collinear
-corners fall back to the full rectangle ("square patch").  Patches are
-then pasted at random positions on a target image, later patches
-overwriting earlier ones.
+pixel-center even-odd rule.  A crop with too few or only collinear
+corners, or an outline over no pixel center, stays a whole rectangle
+("square patch") with no mask.  Patches are then pasted at random
+positions on a target image, later patches overwriting earlier ones.
 
 ``build_patches`` makes one corner test per scene: each crop box repeated
 over its donor's corners, one inside mask, and one ``np.bincount`` by
@@ -21,6 +21,7 @@ against 61 us.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class PatchCandidate:
 
 @dataclass
 class PolygonPatch:
-    mask: np.ndarray     # bool [h, w]
-    texture: np.ndarray  # uint8 [h, w, 3]
+    mask: np.ndarray | None  # bool [h, w]; None means the whole crop
+    texture: np.ndarray      # uint8 [h, w, 3]
 
 
 @dataclass
@@ -223,10 +224,6 @@ def rasterize(polygon, width: int, height: int) -> np.ndarray:
     return mask
 
 
-def _rect_patch(texture: np.ndarray) -> PolygonPatch:
-    return PolygonPatch(mask=np.ones(texture.shape[:2], dtype=bool), texture=texture)
-
-
 def build_patches(
     donor_images: list[np.ndarray],
     candidates: list[PatchCandidate],
@@ -237,7 +234,7 @@ def build_patches(
     ``corners`` runs parallel to ``donor_images`` and holds each donor's
     ``donor_corners``; None computes them here.  A crop's outline is the
     hull of its donor's corners inside the crop.  Degenerate corner sets
-    keep the whole rectangle instead.
+    keep the whole rectangle instead, as a patch whose mask is None.
     """
     if corners is None:
         corners = [donor_corners(image) for image in donor_images]
@@ -262,15 +259,10 @@ def build_patches(
         crop = donor_images[cand.donor][
             cand.y0 : cand.y0 + cand.height, cand.x0 : cand.x0 + cand.width
         ]
-        if n < 3:  # too few corners for a hull, as in most crops
-            patches.append(_rect_patch(crop))
-            continue
-        try:
-            hull = convex_hull(kept[end - n : end].tolist())
-            mask = rasterize(hull, crop.shape[1], crop.shape[0])
-        except (DegenerateHullError, DegeneratePolygonError):
-            patches.append(_rect_patch(crop))
-            continue
+        mask = None  # the whole crop, unless its corners carve an outline
+        if n >= 3:  # most crops hold fewer corners than a hull needs
+            with contextlib.suppress(DegenerateHullError, DegeneratePolygonError):
+                mask = rasterize(convex_hull(kept[end - n : end].tolist()), crop.shape[1], crop.shape[0])
         patches.append(PolygonPatch(mask=mask, texture=crop))
     return patches
 
@@ -281,21 +273,22 @@ def paste_patches(
     rng: np.random.Generator,
 ) -> PastedScene:
     """Paste polygon patches at uniform offsets whose bounding box fits;
-    oversized patches are skipped and counted."""
+    oversized patches are skipped and counted.  A patch without a mask
+    covers its whole texture and pastes by slice copies."""
     img = np.array(target, dtype=np.uint8, copy=True)
     h_t, w_t = img.shape[:2]
     mask = np.zeros((h_t, w_t), dtype=bool)
     ids = np.zeros((h_t, w_t), dtype=np.int32)
     skipped = 0
     for idx, patch in enumerate(patches):
-        ph, pw = patch.mask.shape
+        ph, pw = patch.texture.shape[:2]
         if ph > h_t or pw > w_t:
             skipped += 1
             continue
         y0 = int(rng.integers(h_t - ph + 1))
         x0 = int(rng.integers(w_t - pw + 1))
         sub = (slice(y0, y0 + ph), slice(x0, x0 + pw))
-        if patch.mask.all():  # a rectangle: slice copies, no masked indexing
+        if patch.mask is None:  # a rectangle: slice copies, no masked indexing
             img[sub], mask[sub], ids[sub] = patch.texture, True, idx + 1
         else:
             img[sub][patch.mask] = patch.texture[patch.mask]

@@ -736,6 +736,31 @@ class TestExitCodes:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    def test_head_over_other_features_is_3(self, pipeline, tmp_path, capsys, command):
+        """A head whose feature_dim is not the frozen model's loads (its shapes
+        agree with its own manifest and its frozen digest matches) but cannot
+        read the frozen features, so it is a bad artifact, not a crash."""
+        head = tmp_path / "head"
+        shutil.copytree(pipeline / "run" / "head", head)
+        dim = load_frozen(pipeline / "frozen").feature_dim
+        manifest = (head / "head.txt").read_text()
+        assert manifest.startswith(f"feature_dim={dim}\n")
+        (head / "head.txt").write_text(manifest.replace(f"feature_dim={dim}\n", f"feature_dim={dim // 2}\n"))
+        w = read_tensor(head / "block0_w.tnsr")
+        write_tensor(head / "block0_w.tnsr", np.ascontiguousarray(w[:, : dim // 2]))
+        args = ["--head", str(head), "--frozen", str(pipeline / "frozen")]
+        out = tmp_path / "o"
+        if command == "score":
+            image = str(pipeline / "data" / "eval" / "scene_0000.ppm")
+            args += ["--image", image, "--out", str(out / "map.tnsr"), "--heatmap", str(out / "map.pgm")]
+        else:
+            args += ["--data", str(pipeline / "data"), "--out", str(out)]
+        assert main([command, *args]) == 3
+        err = capsys.readouterr().err
+        assert f"head takes feature_dim={dim // 2}, frozen model gives {dim}" in err
+        assert not out.exists()
+
     def test_tensor_with_trailing_bytes_is_3(self, pipeline, tmp_path, capsys):
         shutil.copytree(pipeline / "frozen", tmp_path / "frozen")
         _append_bytes(tmp_path / "frozen" / "dec_b.tnsr", b"\x00" * 4)  # the digest hashes parsed arrays

@@ -265,7 +265,8 @@ class TestBuildPatches:
         donors = [np.full((64, 64, 3), 80, dtype=np.uint8)]
         cand = PatchCandidate(donor=0, x0=0, y0=0, width=16, height=16)
         (patch,) = build_patches(donors, [cand])
-        assert patch.mask.all()
+        assert patch.mask is None
+        assert patch.texture.shape == (16, 16, 3)
 
     def test_convex_policy_carves_hull(self):
         donors = [np.zeros((64, 64, 3), dtype=np.uint8)]
@@ -281,7 +282,8 @@ class TestBuildPatches:
 
 def per_crop_patches(donor_images, candidates, corners):
     """(mask, texture) per candidate, by a reference that tests each crop's
-    donor corners on their own, point by point."""
+    donor corners on their own, point by point; a crop left whole has the
+    mask None."""
     out = []
     for cand in candidates:
         crop = donor_images[cand.donor][cand.y0 : cand.y0 + cand.height, cand.x0 : cand.x0 + cand.width]
@@ -293,7 +295,7 @@ def per_crop_patches(donor_images, candidates, corners):
                 mask = rasterize(convex_hull(local), cand.width, cand.height)
             except (DegenerateHullError, DegeneratePolygonError):
                 pass
-        out.append((mask, crop))
+        out.append((None if mask.all() else mask, crop))
     return out
 
 
@@ -307,7 +309,10 @@ class TestOneCornerTestPerScene:
         want = per_crop_patches(donors, cands, corners)
         assert len(got) == len(want) == len(cands)
         for patch, (mask, texture) in zip(got, want):
-            assert patch.mask.shape == mask.shape and patch.mask.tobytes() == mask.tobytes()
+            if mask is None:
+                assert patch.mask is None
+            else:
+                assert patch.mask.shape == mask.shape and patch.mask.tobytes() == mask.tobytes()
             assert patch.texture.shape == texture.shape and patch.texture.tobytes() == texture.tobytes()
         return want
 
@@ -321,7 +326,7 @@ class TestOneCornerTestPerScene:
         for seed in range(40):
             cands = sample_candidates(donors, 40 if seed % 2 else 10, np.random.default_rng(seed))
             want = self.assert_matches_reference(donors, cands, corners)
-            hulls += sum(not mask.all() for mask, _ in want)
+            hulls += sum(mask is not None for mask, _ in want)
         assert hulls > 0  # some crops reach the hull path
 
     def test_donors_without_corners(self):
@@ -329,7 +334,7 @@ class TestOneCornerTestPerScene:
         corners = [np.zeros((0, 2), dtype=np.int64)] * 2
         cands = sample_candidates(donors, 10, np.random.default_rng(0))
         want = self.assert_matches_reference(donors, cands, corners)
-        assert all(mask.all() for mask, _ in want)
+        assert all(mask is None for mask, _ in want)
 
     def test_crops_flush_with_the_right_and_bottom_edges(self):
         donor = np.random.default_rng(1).integers(0, 256, size=(40, 48, 3), dtype=np.uint8)
@@ -343,7 +348,7 @@ class TestOneCornerTestPerScene:
             PatchCandidate(donor=0, x0=31, y0=23, width=16, height=16),
         ]
         want = self.assert_matches_reference([donor], cands, corners)
-        assert not any(mask.all() for mask, _ in want)
+        assert not any(mask is None for mask, _ in want)
 
     def test_crops_with_three_or_more_corners_reach_the_hull(self):
         donor = np.zeros((64, 64, 3), dtype=np.uint8)
@@ -352,7 +357,7 @@ class TestOneCornerTestPerScene:
         cands = [PatchCandidate(donor=0, x0=x, y0=y, width=20, height=20) for x in (16, 18) for y in (16, 18)]
         cands += [PatchCandidate(donor=0, x0=30, y0=16, width=16, height=24)]  # two corners
         want = self.assert_matches_reference([donor], cands, corners)
-        assert [mask.all() for mask, _ in want] == [False] * 4 + [True]
+        assert [mask is None for mask, _ in want] == [False] * 4 + [True]
 
     def test_no_candidates(self):
         donor = np.zeros((16, 16, 3), dtype=np.uint8)
@@ -384,8 +389,8 @@ class TestDonorCorners:
     def test_crop_without_corners_keeps_rectangle(self):
         cand = PatchCandidate(donor=0, x0=40, y0=40, width=16, height=16)
         (patch,) = build_patches([self.square_donor()], [cand])
-        assert patch.mask.shape == (16, 16)
-        assert patch.mask.all()
+        assert patch.texture.shape == (16, 16, 3)
+        assert patch.mask is None
 
     def test_fewer_than_three_corners_skip_the_hull(self, monkeypatch):
         def no_hull(points):
@@ -398,8 +403,8 @@ class TestDonorCorners:
             PatchCandidate(donor=0, x0=40, y0=40, width=16, height=16),
         ]
         for cand, patch in zip(cands, build_patches([self.square_donor()], cands)):
-            assert patch.mask.shape == (cand.height, cand.width)
-            assert patch.mask.all()
+            assert patch.texture.shape == (cand.height, cand.width, 3)
+            assert patch.mask is None
 
     @pytest.mark.parametrize(
         "name, error", [("convex_hull", DegenerateHullError), ("rasterize", DegeneratePolygonError)]
@@ -412,8 +417,8 @@ class TestDonorCorners:
         # all four of the square's corners fall inside, so the hull is tried
         cand = PatchCandidate(donor=0, x0=18, y0=18, width=20, height=20)
         (patch,) = build_patches([self.square_donor()], [cand])
-        assert patch.mask.shape == (20, 20)
-        assert patch.mask.all()
+        assert patch.texture.shape == (20, 20, 3)
+        assert patch.mask is None
 
 
 class TestPaste:
@@ -464,38 +469,64 @@ class TestPaste:
         paste_patches(t, [p], np.random.default_rng(1))
         assert t.max() == 0
 
-    def test_rectangles_by_slice_match_the_masked_paste(self):
+    @staticmethod
+    def mixed_patches(seed, oversized=False):
+        """Twelve patches, every other one a mask-less rectangle; with
+        ``oversized``, every third one is too tall for a 32x32 target."""
         from oodseg.patches import PolygonPatch
 
-        def masked_paste(target, patches, rng):
-            # every patch through boolean masks, rectangles included
-            img, mask = target.copy(), np.zeros(target.shape[:2], dtype=bool)
-            ids = np.zeros(target.shape[:2], dtype=np.int32)
-            for idx, patch in enumerate(patches):
-                ph, pw = patch.mask.shape
-                y0 = int(rng.integers(target.shape[0] - ph + 1))
-                x0 = int(rng.integers(target.shape[1] - pw + 1))
-                sub = (slice(y0, y0 + ph), slice(x0, x0 + pw))
-                img[sub][patch.mask] = patch.texture[patch.mask]
-                mask[sub] |= patch.mask
-                ids[sub][patch.mask] = idx + 1
-            return img, mask, ids
-
-        rng = np.random.default_rng(41)
+        rng = np.random.default_rng(seed)
         patches = []
         for i in range(12):
             h, w = rng.integers(4, 20, size=2)
-            full = i % 2 == 0
-            m = np.ones((h, w), dtype=bool) if full else rng.uniform(size=(h, w)) < 0.6
+            if oversized and i % 3 == 0:
+                h = 33
+            m = None if i % 2 == 0 else rng.uniform(size=(h, w)) < 0.6
             texture = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
             patches.append(PolygonPatch(mask=m, texture=texture))
-        target = rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8)
+        return patches, rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8)
+
+    def test_rectangles_by_slice_match_the_masked_paste(self):
+        def masked_paste(target, patches, rng):
+            # every patch through boolean masks, a rectangle's all True
+            img, mask = target.copy(), np.zeros(target.shape[:2], dtype=bool)
+            ids = np.zeros(target.shape[:2], dtype=np.int32)
+            for idx, patch in enumerate(patches):
+                ph, pw = patch.texture.shape[:2]
+                m = np.ones((ph, pw), dtype=bool) if patch.mask is None else patch.mask
+                y0 = int(rng.integers(target.shape[0] - ph + 1))
+                x0 = int(rng.integers(target.shape[1] - pw + 1))
+                sub = (slice(y0, y0 + ph), slice(x0, x0 + pw))
+                img[sub][m] = patch.texture[m]
+                mask[sub] |= m
+                ids[sub][m] = idx + 1
+            return img, mask, ids
+
+        patches, target = self.mixed_patches(41)
         scene = paste_patches(target, patches, np.random.default_rng(5))
         img, mask, ids = masked_paste(target, patches, np.random.default_rng(5))
         assert scene.image.tobytes() == img.tobytes()
         assert scene.mask.tobytes() == mask.tobytes()
         assert scene.region_ids.tobytes() == ids.tobytes()
         assert scene.region_ids.dtype == ids.dtype
+
+    @pytest.mark.parametrize("oversized", [False, True])
+    def test_explicit_all_true_mask_pastes_as_a_rectangle(self, oversized):
+        """An all-True mask takes the masked path, a missing one the slice
+        path; both give the same scene, byte for byte."""
+        from oodseg.patches import PolygonPatch
+
+        patches, target = self.mixed_patches(43, oversized)
+        explicit = [
+            PolygonPatch(mask=np.ones(p.texture.shape[:2], dtype=bool) if p.mask is None else p.mask, texture=p.texture)
+            for p in patches
+        ]
+        a = paste_patches(target, patches, np.random.default_rng(7))
+        b = paste_patches(target, explicit, np.random.default_rng(7))
+        assert a.image.tobytes() == b.image.tobytes()
+        assert a.mask.tobytes() == b.mask.tobytes()
+        assert a.region_ids.tobytes() == b.region_ids.tobytes()
+        assert a.skipped == b.skipped == (4 if oversized else 0)
 
     def test_region_ids_match_mask(self):
         rng = np.random.default_rng(19)
